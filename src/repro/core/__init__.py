@@ -9,23 +9,17 @@ from repro.core.parameters import (
 )
 from repro.core.protocols import Protocol
 from repro.core.singlehop import SingleHopModel, SingleHopSolution, SingleHopState, solve_all
-from repro.core.templates import (
-    MultiHopTemplate,
-    SingleHopTemplate,
-    multihop_template,
-    singlehop_template,
-)
+from repro.core.templates import CompiledChain, multihop_template, singlehop_template
 
 __all__ = [
+    "CompiledChain",
     "ContinuousTimeMarkovChain",
     "MultiHopParameters",
-    "MultiHopTemplate",
     "Protocol",
     "SignalingParameters",
     "SingleHopModel",
     "SingleHopSolution",
     "SingleHopState",
-    "SingleHopTemplate",
     "kazaa_defaults",
     "multihop_template",
     "reservation_defaults",

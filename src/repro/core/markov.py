@@ -289,42 +289,8 @@ class ContinuousTimeMarkovChain:
         """
         if _sparse_modules() is None:
             raise RuntimeError("solver='iterative' requested but scipy is unavailable")
-        _, sparse_linalg = _sparse_modules()
         a, b, q_t, scale = self._stationary_system(n)
-        try:
-            ilu = sparse_linalg.spilu(a, drop_tol=1e-5, fill_factor=20.0)
-        except RuntimeError as exc:
-            raise ValueError(
-                "stationary distribution is not unique or does not exist"
-            ) from exc
-        preconditioner = sparse_linalg.LinearOperator(
-            (n, n), matvec=ilu.solve
-        )
-        pi, info = sparse_linalg.gmres(
-            a, b, M=preconditioner, rtol=ITERATIVE_RTOL, atol=0.0, maxiter=500
-        )
-        if info != 0:
-            pi, info = sparse_linalg.bicgstab(
-                a, b, M=preconditioner, rtol=ITERATIVE_RTOL, atol=0.0, maxiter=2000
-            )
-        if info != 0 or not np.all(np.isfinite(pi)):
-            raise ValueError(
-                f"iterative stationary solve did not converge (info={info})"
-            )
-        # Krylov convergence at ITERATIVE_RTOL leaves errors near the
-        # 1e-8 parity bound on small-magnitude metrics (1 - pi[full]
-        # cancels).  A few ILU refinement steps contract the error by
-        # the preconditioner quality per step, pushing the solution to
-        # the machine-precision floor of the assembled system.
-        b_norm = float(np.max(np.abs(b)))
-        for _ in range(3):
-            defect = b - a @ pi
-            if float(np.max(np.abs(defect))) <= 1e-15 * b_norm:
-                break
-            refined = pi + ilu.solve(defect)
-            if not np.all(np.isfinite(refined)):
-                break
-            pi = refined
+        pi = _iterative_solve(a, b)
         residual = float(np.max(np.abs(q_t @ pi)))
         return pi, residual, scale
 
@@ -456,6 +422,50 @@ class ContinuousTimeMarkovChain:
         ):
             lines.append(f"  {origin!r} -> {destination!r} @ {rate:.6g}")
         return "\n".join(lines)
+
+
+def _iterative_solve(a, b: np.ndarray) -> np.ndarray:
+    """Solve the sparse stationary system ``a x = b`` iteratively.
+
+    spilu-preconditioned GMRES with a BiCGSTAB retry, then a few ILU
+    refinement steps.  Shared by
+    :meth:`ContinuousTimeMarkovChain._stationary_iterative` and the
+    compiled templates' sparse pattern, so both run the identical
+    sequence.  Raises ``ValueError`` when the incomplete factorization
+    fails or neither Krylov method converges to a finite solution.
+    """
+    _, sparse_linalg = _sparse_modules()
+    try:
+        ilu = sparse_linalg.spilu(a, drop_tol=1e-5, fill_factor=20.0)
+    except (RuntimeError, ValueError) as exc:
+        raise ValueError(
+            "stationary distribution is not unique or does not exist"
+        ) from exc
+    preconditioner = sparse_linalg.LinearOperator(a.shape, matvec=ilu.solve)
+    pi, info = sparse_linalg.gmres(
+        a, b, M=preconditioner, rtol=ITERATIVE_RTOL, atol=0.0, maxiter=500
+    )
+    if info != 0:
+        pi, info = sparse_linalg.bicgstab(
+            a, b, M=preconditioner, rtol=ITERATIVE_RTOL, atol=0.0, maxiter=2000
+        )
+    if info != 0 or not np.all(np.isfinite(pi)):
+        raise ValueError(f"iterative stationary solve did not converge (info={info})")
+    # Krylov convergence at ITERATIVE_RTOL leaves errors near the 1e-8
+    # parity bound on small-magnitude metrics (1 - pi[full] cancels).  A
+    # few ILU refinement steps contract the error by the preconditioner
+    # quality per step, pushing the solution to the machine-precision
+    # floor of the assembled system.
+    b_norm = float(np.max(np.abs(b)))
+    for _ in range(3):
+        defect = b - a @ pi
+        if float(np.max(np.abs(defect))) <= 1e-15 * b_norm:
+            break
+        refined = pi + ilu.solve(defect)
+        if not np.all(np.isfinite(refined)):
+            break
+        pi = refined
+    return pi
 
 
 def batched_stationary_dense(generators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

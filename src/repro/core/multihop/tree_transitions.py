@@ -6,7 +6,8 @@ consumed by two paths that must stay bit-identical:
 
 * :func:`build_tree_rates` maps each tag to its rate value and builds
   the reference rate dict (what :class:`TreeModel` solves);
-* :class:`repro.core.templates.TreeTemplate` maps each tag to a
+* :func:`repro.core.templates.tree_template` compiles a
+  :class:`~repro.core.templates.CompiledChain` that maps each tag to a
   derived-feature index and scatters per-point rate vectors into the
   compiled COO structure.
 

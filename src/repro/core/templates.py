@@ -1,47 +1,67 @@
-"""Compiled chain templates: structure-cached, batched CTMC solves.
+"""Compiled chain templates: one structure-cached, batched CTMC core.
 
 Every figure in the paper sweeps parameters over a chain whose
-*structure* — state space and transition graph — is fixed by
-``(protocol, hop count)`` while only the rates vary.  The per-point
-model classes (:class:`~repro.core.singlehop.model.SingleHopModel`,
+*structure* — state space and transition graph — is fixed by the
+protocol and a shape (a hop count or a tree topology) while only the
+rates vary.  The per-point model classes
+(:class:`~repro.core.singlehop.model.SingleHopModel`,
 :class:`~repro.core.multihop.model.MultiHopModel`,
-:class:`~repro.core.multihop.heterogeneous.HeterogeneousMultiHopModel`)
-rebuild that structure from Python dicts of hashable states at every
-sweep point.  A template compiles it once:
+:class:`~repro.core.multihop.tree_model.TreeModel`, …) rebuild that
+structure from Python dicts of hashable states at every sweep point.
+A :class:`CompiledChain` compiles it once:
 
 * integer COO index arrays (``rows``, ``cols``) over the fixed state
-  order, plus a per-edge *feature* index;
-* a rate evaluator mapping each parameter point to a derived-feature
-  vector, assembled into the ``(K, E)`` edge-rate matrix by numpy
-  fancy-indexing — no per-point dict churn.
+  order, a per-edge *feature* index and, for the lumped tree chain, a
+  per-edge integer multiplicity;
+* a family's feature-row evaluator maps each parameter point to a
+  derived-feature vector, assembled into the ``(K, E)`` edge-rate
+  matrix by numpy fancy-indexing — no per-point dict churn.
 
-The derived features themselves are computed with the *reference
-modules' own helper functions* (``slow_path_recovery_rate``,
-``first_timeout_rate``, ``reach_profile``, …), so every edge rate is
+Each model family — single-hop, multi-hop chain (homogeneous and
+heterogeneous hops), tree, lumped tree, iterative tree and the two
+Gilbert–Elliott product chains — is a small :class:`_Family`
+descriptor: its spec source (state list plus ``(origin, dest,
+feature)`` specs), its feature-row evaluator, its solution builder,
+its reference model and the backends it solves through.  Everything
+else — assembly, the stationary solve dispatch, the per-point
+solution loop and the reference fallback — is shared.
+
+The derived features are computed with the *reference modules' own
+helper functions* (``slow_path_recovery_rate``, ``first_timeout_rate``,
+``reach_profile``, ``tree_tag_rate``, …), so every edge rate is
 bit-identical to what the reference model builds; combined with stacked
 LAPACK solves (one ``numpy.linalg.solve`` call for all K points) the
 dense fast path reproduces the per-point dense results **bit for bit**,
 not merely within tolerance.
 
-Small chains (every single-hop figure, multi-hop below
-:data:`~repro.core.markov.SPARSE_STATE_THRESHOLD` states) solve all K
-points in one batched dense call.  Large chains keep the template's
-fixed sparsity pattern: the CSC symbolic structure (indices/indptr and
-the COO→CSC scatter) is computed once at compile time, each point only
-refreshes the ``.data`` vector and runs ``splu`` (scipy exposes no
-symbolic-only re-factorization, so the numeric factorization is the one
-per-point cost left).
+Backends, each returning ``(pi, bad)`` for the whole batch:
 
-Any point the batched path cannot certify (singular matrix, residual
-check, non-finite result) falls back to the reference model for that
-point, so failure diagnostics are exactly the reference's.
+* ``template`` — small chains (below
+  :data:`~repro.core.markov.SPARSE_STATE_THRESHOLD` states) solve all K
+  points in one batched dense call; large chains keep a lazily built
+  :class:`_SparseStationaryPattern` (CSC symbolic structure computed
+  once, each point only refreshes the ``.data`` vector and runs
+  ``splu``).  The single-hop family's ``template`` backend also solves
+  the transient chain's absorption times for the receiver lifetime.
+* ``iterative`` — the same pattern through ILU/GMRES (the tree
+  family's escape hatch for topologies that neither fit the direct cap
+  nor lump).
+* ``structured`` — the chain family's O(hops) block-Thomas kernel,
+  fed straight from the derived-feature rows.
+
+Any point a backend cannot certify (singular matrix, residual check,
+non-finite result) falls back to the family's reference model for that
+point, logged once per point with its reason, so failure diagnostics
+are exactly the reference's.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import logging
-from collections.abc import Sequence
+import operator
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -118,12 +138,7 @@ from repro.faults.gilbert import GilbertElliottParameters
 
 __all__ = [
     "CHAIN_BACKENDS",
-    "GilbertMultiHopTemplate",
-    "GilbertSingleHopTemplate",
-    "LumpedTreeTemplate",
-    "MultiHopTemplate",
-    "SingleHopTemplate",
-    "TreeTemplate",
+    "CompiledChain",
     "gilbert_multihop_template",
     "gilbert_singlehop_template",
     "iterative_tree_template",
@@ -146,56 +161,6 @@ __all__ = [
 
 
 _LOGGER = logging.getLogger(__name__)
-
-
-def _sparse_batch(
-    pattern: "_SparseStationaryPattern", rates: np.ndarray, label: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point sparse solves; failed points are flagged and logged.
-
-    A flagged point falls back to the reference model downstream — the
-    fallback must never be silent (see docs/robustness.md).
-    """
-    k = rates.shape[0]
-    pi = np.zeros((k, pattern.n))
-    bad = np.zeros(k, dtype=bool)
-    for point in range(k):
-        solved = pattern.stationary(rates[point])
-        if solved is None:
-            _LOGGER.warning(
-                "sparse template solve failed for %s point %d of %d; "
-                "falling back to the reference model",
-                label,
-                point,
-                k,
-            )
-            bad[point] = True
-        else:
-            pi[point] = solved
-    return pi, bad
-
-
-def _iterative_batch(
-    pattern: "_SparseStationaryPattern", rates: np.ndarray, label: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point ILU/GMRES solves; failed points fall back downstream."""
-    k = rates.shape[0]
-    pi = np.zeros((k, pattern.n))
-    bad = np.zeros(k, dtype=bool)
-    for point in range(k):
-        solved = pattern.stationary_iterative(rates[point])
-        if solved is None:
-            _LOGGER.warning(
-                "iterative template solve failed for %s point %d of %d; "
-                "falling back to the reference model",
-                label,
-                point,
-                k,
-            )
-            bad[point] = True
-        else:
-            pi[point] = solved
-    return pi, bad
 
 
 def _assemble_dense(
@@ -308,7 +273,7 @@ class _SparseStationaryPattern:
         return self._accept(pi, gen_data)
 
     def stationary_iterative(self, edge_rates: np.ndarray) -> np.ndarray | None:
-        """One point through ILU-preconditioned GMRES (BiCGSTAB retry).
+        """One point through the shared ILU/GMRES solve-and-refine kernel.
 
         The incomplete factorization keeps bounded fill-in where the
         tree generators' exact LU explodes; the result still passes the
@@ -317,39 +282,280 @@ class _SparseStationaryPattern:
         """
         if _markov._sparse_modules() is None:  # pragma: no cover - guarded by caller
             return None
-        _, sparse_linalg = _markov._sparse_modules()
         matrix, gen_data = self._assemble(edge_rates)
         try:
-            ilu = sparse_linalg.spilu(matrix, drop_tol=1e-5, fill_factor=20.0)
-        except (RuntimeError, ValueError):
-            return None
-        preconditioner = sparse_linalg.LinearOperator(
-            (self.n, self.n), matvec=ilu.solve
-        )
-        pi, info = sparse_linalg.gmres(
-            matrix,
-            self._rhs,
-            M=preconditioner,
-            rtol=_markov.ITERATIVE_RTOL,
-            atol=0.0,
-            maxiter=500,
-        )
-        if info != 0:
-            pi, info = sparse_linalg.bicgstab(
-                matrix,
-                self._rhs,
-                M=preconditioner,
-                rtol=_markov.ITERATIVE_RTOL,
-                atol=0.0,
-                maxiter=2000,
-            )
-        if info != 0:
+            pi = _markov._iterative_solve(matrix, self._rhs)
+        except ValueError:
             return None
         return self._accept(pi, gen_data)
 
 
 # ----------------------------------------------------------------------
-# Single-hop templates
+# Backends: (chain, derived) -> (pi, bad, kind)
+# ----------------------------------------------------------------------
+
+#: Why a point a backend flagged falls back to the reference model.
+_FALLBACK_REASONS = {
+    "dense": "dense-bad-mask",
+    "structured": "structured-bad-mask",
+    "sparse": "sparse-failed",
+    "iterative": "iterative-failed",
+}
+
+
+def _pattern_batch(solve, rates: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point pattern solves; a ``None`` result flags the point bad."""
+    pi = np.zeros((rates.shape[0], n))
+    bad = np.zeros(rates.shape[0], dtype=bool)
+    for point, edge_rates in enumerate(rates):
+        solved = solve(edge_rates)
+        if solved is None:
+            bad[point] = True
+        else:
+            pi[point] = solved
+    return pi, bad
+
+
+def _template_backend(chain: CompiledChain, derived: np.ndarray):
+    """Batched dense LAPACK below the sparse threshold, pattern splu above."""
+    rates = chain.rates_from(derived)
+    n = len(chain.states)
+    if not chain._use_sparse():
+        generators = _fill_generator_diagonal(
+            _assemble_dense(chain.rows * n + chain.cols, rates, n)
+        )
+        return (*batched_stationary_dense(generators), "dense")
+    return (*_pattern_batch(chain.pattern().stationary, rates, n), "sparse")
+
+
+def _iterative_backend(chain: CompiledChain, derived: np.ndarray):
+    """Every point through the pattern's ILU/GMRES path (tolerance class)."""
+    rates = chain.rates_from(derived)
+    n = len(chain.states)
+    return (*_pattern_batch(chain.pattern().stationary_iterative, rates, n), "iterative")
+
+
+def _absorbing_backend(chain: CompiledChain, derived: np.ndarray):
+    """Single-hop: recurrent stationary distribution plus receiver lifetime.
+
+    The recurrent chain merges the absorbing state (last) into the start
+    state — its incoming edges are redirected, its row/column dropped;
+    the transient chain's mean absorption time from the start state is
+    appended as the last column of ``pi``, so each row still carries one
+    entry per compiled state.
+    """
+    rates = chain.rates_from(derived)
+    n = len(chain.states)
+    m = n - 1  # both the recurrent and the transient block size
+    absorbed = chain.states.index(S.ABSORBED)
+    start = chain.states.index(S.S10_FAST)
+    merged_cols = np.where(chain.cols == absorbed, start, chain.cols)
+    recurrent = _fill_generator_diagonal(
+        _assemble_dense(chain.rows * m + merged_cols, rates, m)
+    )
+    pi, bad_pi = batched_stationary_dense(recurrent)
+    transient = _fill_generator_diagonal(
+        _assemble_dense(chain.rows * n + chain.cols, rates, n)
+    )
+    times, bad_times = batched_absorption_times_dense(transient[:, :m, :m])
+    return np.column_stack((pi, times[:, start])), bad_pi | bad_times, "dense"
+
+
+def _chain_kernel_args(protocol: Protocol, hops: int, derived: np.ndarray) -> dict:
+    """Chain-family feature rows sliced into ``batched_stationary_chain`` inputs.
+
+    Feature layout: ``[update, advance(n), lose(n), recover(n), extra]``,
+    where ``extra`` is the ``n`` first-timeout rates of the soft-state
+    protocols or HS's ``(false_signal, recovery_return)`` pair.
+    """
+    n = hops
+    kwargs = {
+        "update": derived[:, 0],
+        "advance": derived[:, 1 : 1 + n],
+        "lose": derived[:, 1 + n : 1 + 2 * n],
+        "recover": derived[:, 1 + 2 * n : 1 + 3 * n],
+    }
+    extra = derived[:, 1 + 3 * n :]
+    if protocol is Protocol.HS:
+        kwargs["false_signal"] = extra[:, 0]
+        kwargs["recovery_return"] = extra[:, 1]
+    else:
+        kwargs["timeouts"] = extra
+    return kwargs
+
+
+def _structured_backend(chain: CompiledChain, derived: np.ndarray):
+    """The O(hops) block-Thomas chain kernel, fed the derived rows directly.
+
+    The chain structure never has to be scattered into a generator
+    matrix, so per-point cost is linear in hops instead of cubic in
+    states.
+    """
+    kwargs = _chain_kernel_args(chain.protocol, chain.hops, derived)
+    return (*batched_stationary_chain(**kwargs), "structured")
+
+
+# ----------------------------------------------------------------------
+# The compiled-chain core
+# ----------------------------------------------------------------------
+
+
+def _identity(point):
+    return point
+
+
+@dataclasses.dataclass(frozen=True)
+class _Family:
+    """What distinguishes one model family on the shared core.
+
+    ``compile(protocol, shape)`` returns ``(states, specs, tags)``:
+    the state order, ``(origin, dest, tag)`` specs (a fourth element is
+    the edge's multiplicity) and the feature order (``None`` = tags in
+    first-seen order).  ``derive(chain, point)`` is the feature-row
+    evaluator, ``build(chain, point, row)`` turns one row of ``pi`` into
+    a solution and ``reference(chain, point)`` solves one point through
+    the per-point reference model.  ``backends`` maps names to backend
+    functions, the first being the default; ``select`` resolves
+    ``"auto"`` for families that offer it.
+    """
+
+    name: str
+    compile: Callable
+    derive: Callable
+    build: Callable
+    reference: Callable
+    backends: dict
+    params_of: Callable = _identity
+    select: Callable | None = None
+
+
+class CompiledChain:
+    """One family's compiled structure for ``(protocol, shape)``.
+
+    ``shape`` is ``None`` (single-hop families), a hop count (chains)
+    or a :class:`~repro.core.multihop.topology.Topology` (trees).  Use
+    the memoized factories (:func:`singlehop_template`,
+    :func:`multihop_template`, :func:`tree_template`, …) to get
+    instances.
+    """
+
+    def __init__(self, family: _Family, protocol: Protocol, shape=None) -> None:
+        self.family = family
+        self.protocol = Protocol(protocol)
+        self.shape = shape
+        self.states, specs, tags = family.compile(self.protocol, shape)
+        index = {state: i for i, state in enumerate(self.states)}
+        tag_index = {} if tags is None else {tag: i for i, tag in enumerate(tags)}
+        features = [tag_index.setdefault(spec[2], len(tag_index)) for spec in specs]
+        self.tags = tuple(tag_index)
+        self.rows = np.array([index[spec[0]] for spec in specs], dtype=np.intp)
+        self.cols = np.array([index[spec[1]] for spec in specs], dtype=np.intp)
+        self.features = np.array(features, dtype=np.intp)
+        self.multiplicities = (
+            np.array([spec[3] for spec in specs], dtype=np.float64)
+            if len(specs[0]) == 4
+            else None
+        )
+        self._pattern: _SparseStationaryPattern | None = None
+
+    @property
+    def hops(self) -> int | None:
+        """The hop (edge) count every point must carry; ``None`` for single-hop."""
+        if isinstance(self.shape, Topology):
+            return self.shape.num_edges
+        return self.shape
+
+    # -- rate evaluation ------------------------------------------------
+
+    def derived_rows(self, points: Sequence) -> np.ndarray:
+        """The ``(K, n_features)`` derived-feature matrix for ``points``."""
+        return np.array(
+            [self.family.derive(self, point) for point in points], dtype=np.float64
+        )
+
+    def rates_from(self, derived: np.ndarray) -> np.ndarray:
+        """Scatter derived-feature rows into the ``(K, E)`` edge-rate matrix."""
+        rates = derived[:, self.features]
+        if self.multiplicities is not None:
+            rates = rates * self.multiplicities
+        return rates
+
+    def edge_rates(self, points: Sequence) -> np.ndarray:
+        """The ``(K, E)`` edge-rate matrix for ``points``."""
+        return self.rates_from(self.derived_rows(points))
+
+    def stationary(self, row: np.ndarray) -> dict:
+        """One row of ``pi`` as a ``{state: probability}`` dict."""
+        return {state: float(row[i]) for i, state in enumerate(self.states)}
+
+    # -- solving --------------------------------------------------------
+
+    def _use_sparse(self) -> bool:
+        return (
+            len(self.states) >= _markov.SPARSE_STATE_THRESHOLD
+            and _markov._sparse_modules() is not None
+        )
+
+    def pattern(self) -> _SparseStationaryPattern:
+        """The sparse stationary pattern, built on first use."""
+        if self._pattern is None:
+            self._pattern = _SparseStationaryPattern(
+                self.rows, self.cols, len(self.states)
+            )
+        return self._pattern
+
+    def solve_batch(self, points: Sequence, backend: str | None = None) -> list:
+        """Solve every point through ``backend`` (the family default if ``None``).
+
+        Points the backend cannot certify — and every point when the
+        batched factorization raises ``LinAlgError`` — are solved by
+        the family's reference model instead, one WARNING per point.
+        """
+        family = self.family
+        if backend is None:
+            backend = next(iter(family.backends))
+        elif backend == "auto" and family.select is not None:
+            backend = family.select(self)
+        if backend not in family.backends:
+            choices = (("auto",) if family.select else ()) + tuple(family.backends)
+            raise ValueError(
+                f"{family.name} backend must be one of {choices}, got {backend!r}"
+            )
+        points = list(points)
+        if not points:
+            return []
+        if self.hops is not None:
+            for point in points:
+                hops = family.params_of(point).hops
+                if hops != self.hops:
+                    raise ValueError(
+                        f"task has {hops} hops, template compiled for {self.hops}"
+                    )
+        derived = self.derived_rows(points)
+        try:
+            pi, bad, kind = family.backends[backend](self, derived)
+            reason = _FALLBACK_REASONS[kind]
+        except np.linalg.LinAlgError:
+            pi, bad, reason = None, np.ones(len(points), dtype=bool), "linalg-error"
+        solutions = []
+        for k, point in enumerate(points):
+            if not bad[k]:
+                solutions.append(family.build(self, point, pi[k]))
+                continue
+            _LOGGER.warning(
+                "%s template solve fell back to the reference model at "
+                "point %d of %d (%s)",
+                family.name,
+                k,
+                len(points),
+                reason,
+            )
+            solutions.append(family.reference(self, point))
+        return solutions
+
+
+# ----------------------------------------------------------------------
+# Single-hop family
 # ----------------------------------------------------------------------
 
 #: Derived-feature order of the single-hop rate evaluator.
@@ -364,10 +570,9 @@ _SH_FEATURES = (
     "timeout_retx",
     "removal_retx",
 )
-_SH_INDEX = {name: i for i, name in enumerate(_SH_FEATURES)}
 
 
-def _singlehop_edge_specs(protocol: Protocol) -> list[tuple[S, S, str]]:
+def _singlehop_specs(protocol: Protocol, _shape=None):
     """The Fig. 3 edge list in the reference build order (Table I)."""
     specs = [
         (S.S10_FAST, S.CONSISTENT, "fast_ok"),
@@ -387,21 +592,19 @@ def _singlehop_edge_specs(protocol: Protocol) -> list[tuple[S, S, str]]:
     ]
     if not protocol.explicit_removal:
         specs.append((S.S01_FAST, S.ABSORBED, "timeout"))
-        return specs
-    specs.append((S.S01_FAST, S.ABSORBED, "fast_ok"))
-    specs.append((S.S01_FAST, S.S01_SLOW, "fast_lost"))
-    if protocol is Protocol.SS_ER:
-        specs.append((S.S01_SLOW, S.ABSORBED, "timeout"))
-    elif protocol is Protocol.SS_RTR:
-        specs.append((S.S01_SLOW, S.ABSORBED, "timeout_retx"))
-    else:  # HS
-        specs.append((S.S01_SLOW, S.ABSORBED, "removal_retx"))
-    return specs
+    else:
+        specs.append((S.S01_FAST, S.ABSORBED, "fast_ok"))
+        specs.append((S.S01_FAST, S.S01_SLOW, "fast_lost"))
+        if protocol is Protocol.SS_ER:
+            specs.append((S.S01_SLOW, S.ABSORBED, "timeout"))
+        elif protocol is Protocol.SS_RTR:
+            specs.append((S.S01_SLOW, S.ABSORBED, "timeout_retx"))
+        else:  # HS
+            specs.append((S.S01_SLOW, S.ABSORBED, "removal_retx"))
+    return state_space(protocol), specs, _SH_FEATURES
 
 
-def _singlehop_derived_row(
-    protocol: Protocol, params: SignalingParameters
-) -> tuple[float, ...]:
+def _singlehop_row(chain: CompiledChain, params: SignalingParameters) -> tuple:
     """One point's derived features, via the reference expressions."""
     p = params.loss_rate
     success = 1.0 - p
@@ -413,99 +616,40 @@ def _singlehop_derived_row(
         p / delta,
         params.update_rate,
         params.removal_rate,
-        singlehop_recovery_rate(protocol, params),
-        effective_false_removal_rate(protocol, params),
+        singlehop_recovery_rate(chain.protocol, params),
+        effective_false_removal_rate(chain.protocol, params),
         timeout,
         timeout + success * retransmit,
         success * retransmit,
     )
 
 
-class SingleHopTemplate:
-    """Compiled structure of one protocol's Fig. 3 chain.
+def _singlehop_solution(chain: CompiledChain, params, row) -> SingleHopSolution:
+    # The row carries the recurrent states' mass, then the lifetime.
+    recurrent_states = chain.states[:-1]
+    stationary = {state: float(row[i]) for i, state in enumerate(recurrent_states)}
+    return SingleHopSolution(
+        protocol=chain.protocol,
+        params=params,
+        stationary=stationary,
+        inconsistency_ratio=1.0 - stationary[S.CONSISTENT],
+        expected_receiver_lifetime=float(row[-1]),
+        message_breakdown=message_rate_components(chain.protocol, params, stationary),
+    )
 
-    Use :func:`singlehop_template` to get the memoized instance.
-    """
 
-    def __init__(self, protocol: Protocol) -> None:
-        self.protocol = Protocol(protocol)
-        self.states: tuple[S, ...] = state_space(self.protocol)
-        index = {state: i for i, state in enumerate(self.states)}
-        specs = _singlehop_edge_specs(self.protocol)
-        self.edges: tuple[tuple[S, S], ...] = tuple((o, d) for o, d, _ in specs)
-        self.rows = np.array([index[o] for o, _, _ in specs], dtype=np.intp)
-        self.cols = np.array([index[d] for _, d, _ in specs], dtype=np.intp)
-        self._features = np.array([_SH_INDEX[f] for _, _, f in specs], dtype=np.intp)
-        n = len(self.states)
-        self._n = n
-        self._absorbed = index[S.ABSORBED]
-        self._start = index[S.S10_FAST]
-        # Recurrent chain: the absorbing state (last) merged into the
-        # start state — redirect its incoming edges, drop its row/column.
-        merged_cols = np.where(self.cols == self._absorbed, self._start, self.cols)
-        self._recurrent_flat = self.rows * (n - 1) + merged_cols
-        self._transient_flat = self.rows * n + self.cols
-
-    def edge_rates(self, points: Sequence[SignalingParameters]) -> np.ndarray:
-        """The ``(K, E)`` edge-rate matrix for ``points``."""
-        derived = np.array(
-            [_singlehop_derived_row(self.protocol, params) for params in points]
-        )
-        return derived[:, self._features]
-
-    def solve_batch(
-        self, points: Sequence[SignalingParameters]
-    ) -> list[SingleHopSolution]:
-        """Solve every point; bit-identical to the per-point dense path."""
-        points = list(points)
-        if not points:
-            return []
-        rates = self.edge_rates(points)
-        n = self._n
-        m = n - 1  # both the recurrent and the transient block size
-        try:
-            recurrent = _fill_generator_diagonal(
-                _assemble_dense(self._recurrent_flat, rates, m)
-            )
-            pi, bad_pi = batched_stationary_dense(recurrent)
-            transient = _fill_generator_diagonal(
-                _assemble_dense(self._transient_flat, rates, n)
-            )
-            times, bad_times = batched_absorption_times_dense(
-                transient[:, :m, :m]
-            )
-        except np.linalg.LinAlgError:
-            return [self._reference(params) for params in points]
-        bad = bad_pi | bad_times
-        solutions: list[SingleHopSolution] = []
-        recurrent_states = self.states[:-1]
-        for k, params in enumerate(points):
-            if bad[k]:
-                solutions.append(self._reference(params))
-                continue
-            stationary = {
-                state: float(pi[k, i]) for i, state in enumerate(recurrent_states)
-            }
-            solutions.append(
-                SingleHopSolution(
-                    protocol=self.protocol,
-                    params=params,
-                    stationary=stationary,
-                    inconsistency_ratio=1.0 - stationary[S.CONSISTENT],
-                    expected_receiver_lifetime=float(times[k, self._start]),
-                    message_breakdown=message_rate_components(
-                        self.protocol, params, stationary
-                    ),
-                )
-            )
-        return solutions
-
-    def _reference(self, params: SignalingParameters) -> SingleHopSolution:
-        return SingleHopModel(self.protocol, params).solve()
+_SINGLEHOP = _Family(
+    name="singlehop",
+    compile=_singlehop_specs,
+    derive=_singlehop_row,
+    build=_singlehop_solution,
+    reference=lambda chain, params: SingleHopModel(chain.protocol, params).solve(),
+    backends={"template": _absorbing_backend},
+)
 
 
 # ----------------------------------------------------------------------
-# Multi-hop templates (homogeneous and heterogeneous points)
+# Multi-hop chain family (homogeneous and heterogeneous points)
 # ----------------------------------------------------------------------
 
 
@@ -536,767 +680,278 @@ def select_chain_backend(protocol: Protocol, hops: int) -> str:
     return "template"
 
 
-class MultiHopTemplate:
-    """Compiled structure of the Fig. 15/16 chain for ``(protocol, hops)``.
+def _require_multihop(protocol: Protocol) -> None:
+    if protocol not in Protocol.multihop_family():
+        raise ValueError(f"{protocol.value} is not part of the multi-hop analysis")
 
-    One template serves both homogeneous points (``hops=None`` in the
-    task, rates derived with the homogeneous reference helpers) and
-    heterogeneous points (per-hop vectors, rates derived with the
-    heterogeneous profile functions), because the chain structure is
-    identical — only the rate values differ.
 
-    Use :func:`multihop_template` to get the memoized instance.
+def _chain_specs(protocol: Protocol, hops: int):
+    """The Fig. 15/16 chain, features laid out as :func:`_chain_kernel_args` reads them.
+
+    One structure serves both homogeneous and heterogeneous points —
+    only the rate values differ.
     """
+    _require_multihop(protocol)
+    with_recovery = protocol is Protocol.HS
+    states = multihop_state_space(hops, with_recovery=with_recovery)
+    n = hops
+    # State order mirrors multihop_state_space: fast (i,0) at i for
+    # i in 0..n, slow (i,1) at n+1+i, RECOVERY last.
+    fast = states[: n + 1]
+    slow = states[n + 1 : 2 * n + 1]
+    f_extra = 1 + 3 * n
+    specs = [(state, fast[0], 0) for state in states[1:]]
+    for i in range(n):
+        specs.append((fast[i], fast[i + 1], 1 + i))
+        specs.append((fast[i], slow[i], 1 + n + i))
+        specs.append((slow[i], fast[i + 1], 1 + 2 * n + i))
+    if not with_recovery:
+        for state in states:
+            for j in range(state.consistent_hops):
+                specs.append((state, slow[j], f_extra + j))
+    else:
+        recovery = states[-1]
+        specs.extend((state, recovery, f_extra) for state in states[:-1])
+        specs.append((recovery, fast[0], f_extra + 1))
+    return states, specs, range(f_extra + (2 if with_recovery else n))
 
-    def __init__(self, protocol: Protocol, hops: int) -> None:
-        self.protocol = Protocol(protocol)
-        if self.protocol not in Protocol.multihop_family():
-            raise ValueError(
-                f"{self.protocol.value} is not part of the multi-hop analysis"
-            )
-        if hops < 1:
-            raise ValueError(f"hops must be >= 1, got {hops}")
-        self.hops = hops
-        with_recovery = self.protocol is Protocol.HS
-        self.states = multihop_state_space(hops, with_recovery=with_recovery)
-        n = hops
-        ns = len(self.states)
-        self._n_states = ns
-        # State indexing mirrors multihop_state_space order:
-        # fast (i,0) -> i for i in 0..n; slow (i,1) -> n+1+i; RECOVERY last.
-        fast = lambda i: i  # noqa: E731 - tiny local alias
-        slow = lambda i: n + 1 + i  # noqa: E731
-        # Feature layout: [update, advance(n), lose(n), recover(n), extra].
-        self._f_update = 0
-        self._f_advance = 1
-        self._f_lose = 1 + n
-        self._f_recover = 1 + 2 * n
-        self._f_extra = 1 + 3 * n
-        self.n_features = self._f_extra + (2 if with_recovery else n)
-        specs: list[tuple[int, int, int]] = []
-        for si in range(1, ns):
-            specs.append((si, fast(0), self._f_update))
-        for i in range(n):
-            specs.append((fast(i), fast(i + 1), self._f_advance + i))
-            specs.append((fast(i), slow(i), self._f_lose + i))
-            specs.append((slow(i), fast(i + 1), self._f_recover + i))
-        if not with_recovery:
-            for si, state in enumerate(self.states):
-                for j in range(state.consistent_hops):
-                    specs.append((si, slow(j), self._f_extra + j))
-        else:
-            recovery_index = ns - 1
-            for si in range(ns - 1):
-                specs.append((si, recovery_index, self._f_extra))
-            specs.append((recovery_index, fast(0), self._f_extra + 1))
-        self.rows = np.array([r for r, _, _ in specs], dtype=np.intp)
-        self.cols = np.array([c for _, c, _ in specs], dtype=np.intp)
-        self._features = np.array([f for _, _, f in specs], dtype=np.intp)
-        self._flat = self.rows * ns + self.cols
-        self._sparse_pattern: _SparseStationaryPattern | None = None
 
-    # -- rate evaluation ------------------------------------------------
-
-    def _derived_homogeneous(self, params: MultiHopParameters) -> np.ndarray:
-        n = self.hops
-        row = np.empty(self.n_features)
-        row[self._f_update] = params.update_rate
+def _chain_row(chain: CompiledChain, point) -> np.ndarray:
+    params, hops = point
+    protocol = chain.protocol
+    n = chain.hops
+    row = np.empty(len(chain.tags))
+    row[0] = params.update_rate
+    if hops is None:
+        delay = params.delay
         success = 1.0 - params.loss_rate
-        row[self._f_advance : self._f_advance + n] = success / params.delay
-        row[self._f_lose : self._f_lose + n] = params.loss_rate / params.delay
+        row[1 : 1 + n] = success / params.delay
+        row[1 + n : 1 + 2 * n] = params.loss_rate / params.delay
         for i in range(n):
-            row[self._f_recover + i] = slow_path_recovery_rate(
-                self.protocol, params, i + 1
-            )
-        if self.protocol is Protocol.HS:
-            row[self._f_extra] = n * params.external_false_signal_rate
-            row[self._f_extra + 1] = 1.0 / (2.0 * n * params.delay)
-        else:
-            for j in range(n):
-                row[self._f_extra + j] = first_timeout_rate(params, j)
-        return row
-
-    def _derived_heterogeneous(
-        self, params: MultiHopParameters, hops: tuple[HeterogeneousHop, ...]
-    ) -> np.ndarray:
-        n = self.hops
+            row[1 + 2 * n + i] = slow_path_recovery_rate(protocol, params, i + 1)
+    else:
+        if len(hops) != n:
+            raise ValueError(f"hop vector length {len(hops)} != template hops {n}")
+        delay = sum(h.delay for h in hops) / n
         reach = reach_profile(hops)
-        row = np.empty(self.n_features)
-        row[self._f_update] = params.update_rate
         for i, hop in enumerate(hops):
-            row[self._f_advance + i] = (1.0 - hop.loss_rate) / hop.delay
-            row[self._f_lose + i] = hop.loss_rate / hop.delay
-        row[self._f_recover : self._f_recover + n] = recovery_rate_profile(
-            self.protocol, params, hops, reach
+            row[1 + i] = (1.0 - hop.loss_rate) / hop.delay
+            row[1 + n + i] = hop.loss_rate / hop.delay
+        row[1 + 2 * n : 1 + 3 * n] = recovery_rate_profile(protocol, params, hops, reach)
+    if protocol is Protocol.HS:
+        row[1 + 3 * n] = n * params.external_false_signal_rate
+        row[2 + 3 * n] = 1.0 / (2.0 * n * delay)
+    elif hops is None:
+        for j in range(n):
+            row[1 + 3 * n + j] = first_timeout_rate(params, j)
+    else:
+        row[1 + 3 * n :] = first_timeout_profile(params, reach)
+    return row
+
+
+def _chain_solution(chain: CompiledChain, point, row) -> MultiHopSolution:
+    params, hops = point
+    stationary = chain.stationary(row)
+    if hops is None:
+        breakdown = multihop_message_components(chain.protocol, params, stationary)
+    else:
+        breakdown = heterogeneous_message_components(
+            chain.protocol, params, hops, stationary
         )
-        if self.protocol is Protocol.HS:
-            mean_delay = sum(h.delay for h in hops) / n
-            row[self._f_extra] = n * params.external_false_signal_rate
-            row[self._f_extra + 1] = 1.0 / (2.0 * n * mean_delay)
-        else:
-            row[self._f_extra : self._f_extra + n] = first_timeout_profile(
-                params, reach
-            )
-        return row
+    return MultiHopSolution(
+        protocol=chain.protocol,
+        params=params,
+        stationary=stationary,
+        message_breakdown=breakdown,
+    )
 
-    def derived_rows(
-        self,
-        points: Sequence[tuple[MultiHopParameters, tuple[HeterogeneousHop, ...] | None]],
-    ) -> np.ndarray:
-        """The ``(K, n_features)`` derived-feature matrix for ``points``."""
-        derived = np.empty((len(points), self.n_features))
-        for k, (params, hops) in enumerate(points):
-            if hops is None:
-                derived[k] = self._derived_homogeneous(params)
-            else:
-                derived[k] = self._derived_heterogeneous(params, hops)
-        return derived
 
-    def edge_rates(
-        self,
-        points: Sequence[tuple[MultiHopParameters, tuple[HeterogeneousHop, ...] | None]],
-    ) -> np.ndarray:
-        """The ``(K, E)`` edge-rate matrix for ``points``."""
-        return self.derived_rows(points)[:, self._features]
+def _chain_reference(chain: CompiledChain, point) -> MultiHopSolution:
+    params, hops = point
+    if hops is None:
+        return MultiHopModel(chain.protocol, params).solve()
+    return HeterogeneousMultiHopModel(chain.protocol, params, hops).solve()
 
-    # -- solving --------------------------------------------------------
 
-    def _use_sparse(self) -> bool:
-        return (
-            self._n_states >= _markov.SPARSE_STATE_THRESHOLD
-            and _markov._sparse_modules() is not None
-        )
-
-    def _stationary_batch(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(pi, bad)`` for all points, dense-batched or sparse-looped."""
-        ns = self._n_states
-        if not self._use_sparse():
-            generators = _fill_generator_diagonal(
-                _assemble_dense(self._flat, rates, ns)
-            )
-            return batched_stationary_dense(generators)
-        if self._sparse_pattern is None:
-            self._sparse_pattern = _SparseStationaryPattern(self.rows, self.cols, ns)
-        return _sparse_batch(self._sparse_pattern, rates, type(self).__name__)
-
-    def _stationary_structured(
-        self, derived: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(pi, bad)`` through the O(hops) block-Thomas chain kernel.
-
-        Feeds the derived-feature rows straight into
-        :func:`~repro.core.markov.batched_stationary_chain` — the chain
-        structure never has to be scattered into a generator matrix, so
-        per-point cost is linear in hops instead of cubic in states.
-        """
-        n = self.hops
-        update = derived[:, self._f_update]
-        advance = derived[:, self._f_advance : self._f_advance + n]
-        lose = derived[:, self._f_lose : self._f_lose + n]
-        recover = derived[:, self._f_recover : self._f_recover + n]
-        if self.protocol is Protocol.HS:
-            return batched_stationary_chain(
-                update,
-                advance,
-                lose,
-                recover,
-                false_signal=derived[:, self._f_extra],
-                recovery_return=derived[:, self._f_extra + 1],
-            )
-        return batched_stationary_chain(
-            update,
-            advance,
-            lose,
-            recover,
-            timeouts=derived[:, self._f_extra : self._f_extra + n],
-        )
-
-    def solve_batch(
-        self,
-        points: Sequence[tuple[MultiHopParameters, tuple[HeterogeneousHop, ...] | None]],
-        backend: str = "template",
-    ) -> list[MultiHopSolution]:
-        """Solve every point (homogeneous or heterogeneous tasks).
-
-        ``backend="template"`` is the historical fast path: batched
-        dense LAPACK below the sparse threshold (bit-identical to the
-        reference), structure-cached splu above it.  ``"structured"``
-        routes through the O(hops) chain kernel instead — tolerance
-        class, per-point fallback to the reference on any point the
-        kernel cannot certify.
-        """
-        if backend not in CHAIN_BACKENDS:
-            raise ValueError(
-                f"chain backend must be one of {CHAIN_BACKENDS}, got {backend!r}"
-            )
-        if backend == "auto":
-            backend = select_chain_backend(self.protocol, self.hops)
-        points = list(points)
-        if not points:
-            return []
-        for params, hops in points:
-            if params.hops != self.hops:
-                raise ValueError(
-                    f"task has {params.hops} hops, template compiled for {self.hops}"
-                )
-            if hops is not None and len(hops) != self.hops:
-                raise ValueError(
-                    f"hop vector length {len(hops)} != template hops {self.hops}"
-                )
-        derived = self.derived_rows(points)
-        try:
-            if backend == "structured":
-                pi, bad = self._stationary_structured(derived)
-            else:
-                pi, bad = self._stationary_batch(derived[:, self._features])
-        except np.linalg.LinAlgError:
-            return [self._reference(params, hops) for params, hops in points]
-        solutions: list[MultiHopSolution] = []
-        for k, (params, hops) in enumerate(points):
-            if bad[k]:
-                solutions.append(self._reference(params, hops))
-                continue
-            stationary = {
-                state: float(pi[k, i]) for i, state in enumerate(self.states)
-            }
-            if hops is None:
-                breakdown = multihop_message_components(
-                    self.protocol, params, stationary
-                )
-            else:
-                breakdown = heterogeneous_message_components(
-                    self.protocol, params, hops, stationary
-                )
-            solutions.append(
-                MultiHopSolution(
-                    protocol=self.protocol,
-                    params=params,
-                    stationary=stationary,
-                    message_breakdown=breakdown,
-                )
-            )
-        return solutions
-
-    def _reference(
-        self,
-        params: MultiHopParameters,
-        hops: tuple[HeterogeneousHop, ...] | None,
-    ) -> MultiHopSolution:
-        if hops is None:
-            return MultiHopModel(self.protocol, params).solve()
-        return HeterogeneousMultiHopModel(self.protocol, params, hops).solve()
+_CHAIN = _Family(
+    name="chain",
+    compile=_chain_specs,
+    derive=_chain_row,
+    build=_chain_solution,
+    reference=_chain_reference,
+    backends={"template": _template_backend, "structured": _structured_backend},
+    params_of=operator.itemgetter(0),
+    select=lambda chain: select_chain_backend(chain.protocol, chain.hops),
+)
 
 
 # ----------------------------------------------------------------------
-# Tree templates (multicast fan-out topologies)
+# Tree families: direct, lumped (orbit space) and iterative
 # ----------------------------------------------------------------------
 
 
-class TreeTemplate:
-    """Compiled structure of one ``(protocol, topology)`` tree chain.
+def _tree_specs(protocol: Protocol, topology: Topology, max_states: int | None = None):
+    """The tree chain from the same spec list the reference model accumulates."""
+    _require_multihop(protocol)
+    states = tree_state_space(topology, protocol is Protocol.HS, max_states)
+    return states, tree_transition_specs(protocol, topology, max_states), None
 
-    The transition structure comes from the same
-    :func:`~repro.core.multihop.tree_transitions.tree_transition_specs`
-    list the reference model builds its rate dict from, so the COO
-    arrays scatter *exactly* the reference's edges in the reference's
-    accumulation order; each transition tag maps to one derived
-    feature whose value is computed by the shared
-    :func:`~repro.core.multihop.tree_transitions.tree_tag_rate` helper.
-    Dense batches therefore reproduce the per-point dense results bit
-    for bit, and above the sparse crossover the template keeps its
-    fixed CSC pattern exactly like :class:`MultiHopTemplate`.
 
-    ``solver="iterative"`` compiles the same structure but solves every
-    point through the pattern's ILU/GMRES path (with ``max_states``
-    raised to
-    :data:`~repro.core.multihop.tree_states.MAX_ENUMERATED_TREE_STATES`
-    by :func:`iterative_tree_template`) — a *tolerance*-class backend,
-    never substituted for the exact one.
+def _lumped_specs(protocol: Protocol, topology: Topology):
+    """The orbit chain; each spec's multiplicity scales its tag's rate."""
+    _require_multihop(protocol)
+    states = lumped_state_space(topology, protocol is Protocol.HS)
+    return states, lumped_transition_specs(protocol, topology), None
 
-    Use :func:`tree_template` / :func:`iterative_tree_template` to get
-    the memoized instances.
-    """
 
-    def __init__(
-        self,
-        protocol: Protocol,
-        topology: Topology,
-        max_states: int | None = None,
-        solver: str = "direct",
-    ) -> None:
-        self.protocol = Protocol(protocol)
-        if self.protocol not in Protocol.multihop_family():
-            raise ValueError(
-                f"{self.protocol.value} is not part of the multi-hop analysis"
-            )
-        if solver not in ("direct", "iterative"):
-            raise ValueError(f"solver must be 'direct' or 'iterative', got {solver!r}")
-        self.topology = topology
-        self.max_states = max_states
-        self.solver = solver
-        with_recovery = self.protocol is Protocol.HS
-        self.states = tree_state_space(topology, with_recovery, max_states)
-        index = {state: i for i, state in enumerate(self.states)}
-        ns = len(self.states)
-        self._n_states = ns
-        specs = tree_transition_specs(self.protocol, topology, max_states)
-        # One derived feature per distinct transition tag, in first-seen
-        # order (the tag set is tiny: update/advance/lose plus one
-        # recover and timeout slot per depth, or the two HS extras).
-        tag_index: dict[tuple, int] = {}
-        features: list[int] = []
-        for _, _, tag in specs:
-            if tag not in tag_index:
-                tag_index[tag] = len(tag_index)
-            features.append(tag_index[tag])
-        self._tags = tuple(tag_index)
-        self.n_features = len(self._tags)
-        self.rows = np.array([index[o] for o, _, _ in specs], dtype=np.intp)
-        self.cols = np.array([index[d] for _, d, _ in specs], dtype=np.intp)
-        self._features = np.array(features, dtype=np.intp)
-        self._flat = self.rows * ns + self.cols
-        self._sparse_pattern: _SparseStationaryPattern | None = None
+def _tree_row(chain: CompiledChain, params: MultiHopParameters) -> list[float]:
+    return [
+        tree_tag_rate(chain.protocol, params, chain.shape, tag) for tag in chain.tags
+    ]
 
-    def edge_rates(self, points: Sequence[MultiHopParameters]) -> np.ndarray:
-        """The ``(K, E)`` edge-rate matrix for ``points``."""
-        derived = np.empty((len(points), self.n_features))
-        for k, params in enumerate(points):
-            for j, tag in enumerate(self._tags):
-                derived[k, j] = tree_tag_rate(
-                    self.protocol, params, self.topology, tag
-                )
-        return derived[:, self._features]
 
-    def _use_sparse(self) -> bool:
-        return (
-            self._n_states >= _markov.SPARSE_STATE_THRESHOLD
-            and _markov._sparse_modules() is not None
+def _tree_solution(solution_type, message_components):
+    def build(chain: CompiledChain, params, row):
+        stationary = chain.stationary(row)
+        return solution_type(
+            protocol=chain.protocol,
+            params=params,
+            topology=chain.shape,
+            stationary=stationary,
+            message_breakdown=message_components(
+                chain.protocol, params, chain.shape, stationary
+            ),
         )
 
-    def _stationary_batch(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ns = self._n_states
-        if self.solver == "iterative":
-            if self._sparse_pattern is None:
-                self._sparse_pattern = _SparseStationaryPattern(
-                    self.rows, self.cols, ns
-                )
-            return _iterative_batch(self._sparse_pattern, rates, type(self).__name__)
-        if not self._use_sparse():
-            generators = _fill_generator_diagonal(
-                _assemble_dense(self._flat, rates, ns)
-            )
-            return batched_stationary_dense(generators)
-        if self._sparse_pattern is None:
-            self._sparse_pattern = _SparseStationaryPattern(self.rows, self.cols, ns)
-        return _sparse_batch(self._sparse_pattern, rates, type(self).__name__)
-
-    def solve_batch(self, points: Sequence[MultiHopParameters]) -> list[TreeSolution]:
-        """Solve every point; bit-identical to the per-point dense path."""
-        points = list(points)
-        if not points:
-            return []
-        for params in points:
-            if params.hops != self.topology.num_edges:
-                raise ValueError(
-                    f"task has {params.hops} hops, template compiled for a "
-                    f"{self.topology.num_edges}-edge topology"
-                )
-        rates = self.edge_rates(points)
-        try:
-            pi, bad = self._stationary_batch(rates)
-        except np.linalg.LinAlgError:
-            return [self._reference(params) for params in points]
-        solutions: list[TreeSolution] = []
-        for k, params in enumerate(points):
-            if bad[k]:
-                solutions.append(self._reference(params))
-                continue
-            stationary = {
-                state: float(pi[k, i]) for i, state in enumerate(self.states)
-            }
-            solutions.append(
-                TreeSolution(
-                    protocol=self.protocol,
-                    params=params,
-                    topology=self.topology,
-                    stationary=stationary,
-                    message_breakdown=tree_message_components(
-                        self.protocol, params, self.topology, stationary
-                    ),
-                )
-            )
-        return solutions
-
-    def _reference(self, params: MultiHopParameters) -> TreeSolution:
-        return TreeModel(
-            self.protocol,
-            params,
-            self.topology,
-            max_states=self.max_states,
-            solver="iterative" if self.solver == "iterative" else "auto",
-        ).solve()
+    return build
 
 
-class LumpedTreeTemplate:
-    """Compiled structure of one ``(protocol, topology)`` *lumped* chain.
+_TREE = _Family(
+    name="tree",
+    compile=_tree_specs,
+    derive=_tree_row,
+    build=_tree_solution(TreeSolution, tree_message_components),
+    reference=lambda chain, params: TreeModel(chain.protocol, params, chain.shape).solve(),
+    backends={"template": _template_backend},
+)
 
-    The orbit-space twin of :class:`TreeTemplate`: the COO arrays come
-    from the same
-    :func:`~repro.core.multihop.lumping.lumped_transition_specs` list
-    :class:`~repro.core.multihop.lumping.LumpedTreeModel` accumulates
-    its rate dict from, each tag's base rate is computed by the shared
-    :func:`~repro.core.multihop.tree_transitions.tree_tag_rate` helper
-    and scaled by the spec's integer multiplicity — the identical float
-    product, scattered in the identical accumulation order — so the
-    template and the reference lumped model stay bit-identical to each
-    other.  (The *family* is a tolerance parity class relative to the
-    direct enumeration: orbit aggregation reorders float additions.)
+_ITERATIVE_TREE = dataclasses.replace(
+    _TREE,
+    name="iterative tree",
+    compile=functools.partial(_tree_specs, max_states=MAX_ENUMERATED_TREE_STATES),
+    reference=lambda chain, params: TreeModel(
+        chain.protocol,
+        params,
+        chain.shape,
+        max_states=MAX_ENUMERATED_TREE_STATES,
+        solver="iterative",
+    ).solve(),
+    backends={"iterative": _iterative_backend},
+)
 
-    Use :func:`lumped_tree_template` to get the memoized instance.
-    """
-
-    def __init__(self, protocol: Protocol, topology: Topology) -> None:
-        self.protocol = Protocol(protocol)
-        if self.protocol not in Protocol.multihop_family():
-            raise ValueError(
-                f"{self.protocol.value} is not part of the multi-hop analysis"
-            )
-        self.topology = topology
-        with_recovery = self.protocol is Protocol.HS
-        self.states = lumped_state_space(topology, with_recovery)
-        index = {state: i for i, state in enumerate(self.states)}
-        ns = len(self.states)
-        self._n_states = ns
-        specs = lumped_transition_specs(self.protocol, topology)
-        tag_index: dict[tuple, int] = {}
-        features: list[int] = []
-        for _, _, tag, _ in specs:
-            if tag not in tag_index:
-                tag_index[tag] = len(tag_index)
-            features.append(tag_index[tag])
-        self._tags = tuple(tag_index)
-        self.n_features = len(self._tags)
-        self.rows = np.array([index[o] for o, _, _, _ in specs], dtype=np.intp)
-        self.cols = np.array([index[d] for _, d, _, _ in specs], dtype=np.intp)
-        self._features = np.array(features, dtype=np.intp)
-        self._multiplicities = np.array(
-            [mult for _, _, _, mult in specs], dtype=np.float64
-        )
-        self._flat = self.rows * ns + self.cols
-        self._sparse_pattern: _SparseStationaryPattern | None = None
-
-    def edge_rates(self, points: Sequence[MultiHopParameters]) -> np.ndarray:
-        """The ``(K, E)`` edge-rate matrix: tag rate x multiplicity."""
-        derived = np.empty((len(points), self.n_features))
-        for k, params in enumerate(points):
-            for j, tag in enumerate(self._tags):
-                derived[k, j] = tree_tag_rate(
-                    self.protocol, params, self.topology, tag
-                )
-        return derived[:, self._features] * self._multiplicities
-
-    def _use_sparse(self) -> bool:
-        return (
-            self._n_states >= _markov.SPARSE_STATE_THRESHOLD
-            and _markov._sparse_modules() is not None
-        )
-
-    def _stationary_batch(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ns = self._n_states
-        if not self._use_sparse():
-            generators = _fill_generator_diagonal(
-                _assemble_dense(self._flat, rates, ns)
-            )
-            return batched_stationary_dense(generators)
-        if self._sparse_pattern is None:
-            self._sparse_pattern = _SparseStationaryPattern(self.rows, self.cols, ns)
-        return _sparse_batch(self._sparse_pattern, rates, type(self).__name__)
-
-    def solve_batch(
-        self, points: Sequence[MultiHopParameters]
-    ) -> list[LumpedTreeSolution]:
-        """Solve every point; bit-identical to the per-point lumped model."""
-        points = list(points)
-        if not points:
-            return []
-        for params in points:
-            if params.hops != self.topology.num_edges:
-                raise ValueError(
-                    f"task has {params.hops} hops, template compiled for a "
-                    f"{self.topology.num_edges}-edge topology"
-                )
-        rates = self.edge_rates(points)
-        try:
-            pi, bad = self._stationary_batch(rates)
-        except np.linalg.LinAlgError:
-            return [self._reference(params) for params in points]
-        solutions: list[LumpedTreeSolution] = []
-        for k, params in enumerate(points):
-            if bad[k]:
-                solutions.append(self._reference(params))
-                continue
-            stationary = {
-                state: float(pi[k, i]) for i, state in enumerate(self.states)
-            }
-            solutions.append(
-                LumpedTreeSolution(
-                    protocol=self.protocol,
-                    params=params,
-                    topology=self.topology,
-                    stationary=stationary,
-                    message_breakdown=lumped_message_components(
-                        self.protocol, params, self.topology, stationary
-                    ),
-                )
-            )
-        return solutions
-
-    def _reference(self, params: MultiHopParameters) -> LumpedTreeSolution:
-        return LumpedTreeModel(self.protocol, params, self.topology).solve()
+_LUMPED_TREE = dataclasses.replace(
+    _TREE,
+    name="lumped tree",
+    compile=_lumped_specs,
+    build=_tree_solution(LumpedTreeSolution, lumped_message_components),
+    reference=lambda chain, params: LumpedTreeModel(
+        chain.protocol, params, chain.shape
+    ).solve(),
+)
 
 
 # ----------------------------------------------------------------------
-# Gilbert-Elliott product templates (channel state x protocol state)
+# Gilbert-Elliott product families (channel state x protocol state)
 # ----------------------------------------------------------------------
 
 
-class GilbertSingleHopTemplate:
-    """Compiled structure of one protocol's single-hop product chain.
+def _gilbert_row(check_coverage, tag_rate):
+    def derive(chain: CompiledChain, point) -> list[float]:
+        params, gilbert = point
+        check_coverage(chain.protocol, params, gilbert)
+        return [tag_rate(chain.protocol, params, gilbert, tag) for tag in chain.tags]
 
-    Like :class:`TreeTemplate`, the COO arrays come from the same
-    shared spec list the reference model accumulates its rate dict
-    from (:func:`~repro.core.gilbert.transitions.gilbert_singlehop_specs`)
-    and each tag's rate is computed by the shared
-    :func:`~repro.core.gilbert.transitions.gilbert_singlehop_tag_rate`
-    helper, so dense batches reproduce the per-point dense reference
-    bit for bit.  Degenerate points (``loss_good == loss_bad``) never
-    reach a template — :func:`solve_gilbert_singlehop_tasks` partitions
-    them onto the i.i.d. template path first.
-
-    Use :func:`gilbert_singlehop_template` for the memoized instance.
-    """
-
-    def __init__(self, protocol: Protocol) -> None:
-        self.protocol = Protocol(protocol)
-        self.states = gilbert_singlehop_states(self.protocol)
-        index = {state: i for i, state in enumerate(self.states)}
-        ns = len(self.states)
-        self._n_states = ns
-        specs = gilbert_singlehop_specs(self.protocol)
-        tag_index: dict[tuple, int] = {}
-        features: list[int] = []
-        for _, _, tag in specs:
-            if tag not in tag_index:
-                tag_index[tag] = len(tag_index)
-            features.append(tag_index[tag])
-        self._tags = tuple(tag_index)
-        self.n_features = len(self._tags)
-        self.rows = np.array([index[o] for o, _, _ in specs], dtype=np.intp)
-        self.cols = np.array([index[d] for _, d, _ in specs], dtype=np.intp)
-        self._features = np.array(features, dtype=np.intp)
-        self._flat = self.rows * ns + self.cols
-        self._sparse_pattern: _SparseStationaryPattern | None = None
-
-    def edge_rates(
-        self,
-        points: Sequence[tuple[SignalingParameters, GilbertElliottParameters]],
-    ) -> np.ndarray:
-        """The ``(K, E)`` edge-rate matrix for ``points``."""
-        derived = np.empty((len(points), self.n_features))
-        for k, (params, gilbert) in enumerate(points):
-            check_singlehop_coverage(self.protocol, params, gilbert)
-            for j, tag in enumerate(self._tags):
-                derived[k, j] = gilbert_singlehop_tag_rate(
-                    self.protocol, params, gilbert, tag
-                )
-        return derived[:, self._features]
-
-    def _use_sparse(self) -> bool:
-        return (
-            self._n_states >= _markov.SPARSE_STATE_THRESHOLD
-            and _markov._sparse_modules() is not None
-        )
-
-    def _stationary_batch(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ns = self._n_states
-        if not self._use_sparse():
-            generators = _fill_generator_diagonal(
-                _assemble_dense(self._flat, rates, ns)
-            )
-            return batched_stationary_dense(generators)
-        if self._sparse_pattern is None:
-            self._sparse_pattern = _SparseStationaryPattern(self.rows, self.cols, ns)
-        return _sparse_batch(self._sparse_pattern, rates, type(self).__name__)
-
-    def solve_batch(
-        self,
-        points: Sequence[tuple[SignalingParameters, GilbertElliottParameters]],
-    ) -> list[GilbertSingleHopSolution]:
-        """Solve every point; bit-identical to the per-point dense path."""
-        points = list(points)
-        if not points:
-            return []
-        rates = self.edge_rates(points)
-        try:
-            pi, bad = self._stationary_batch(rates)
-        except np.linalg.LinAlgError:
-            return [self._reference(params, gilbert) for params, gilbert in points]
-        solutions: list[GilbertSingleHopSolution] = []
-        for k, (params, gilbert) in enumerate(points):
-            if bad[k]:
-                solutions.append(self._reference(params, gilbert))
-                continue
-            stationary = {
-                state: float(pi[k, i]) for i, state in enumerate(self.states)
-            }
-            solutions.append(
-                singlehop_solution_from_stationary(
-                    self.protocol, params, gilbert, stationary
-                )
-            )
-        return solutions
-
-    def _reference(
-        self, params: SignalingParameters, gilbert: GilbertElliottParameters
-    ) -> GilbertSingleHopSolution:
-        return GilbertSingleHopModel(self.protocol, params, gilbert).solve()
+    return derive
 
 
-class GilbertMultiHopTemplate:
-    """Compiled structure of the multi-hop product chain.
+def _gilbert_multihop_specs(protocol: Protocol, hops: int):
+    _require_multihop(protocol)
+    if hops < 1:
+        raise ValueError(f"hops must be >= 1, got {hops}")
+    return (
+        gilbert_multihop_states(protocol, hops),
+        gilbert_multihop_specs(protocol, hops),
+        None,
+    )
 
-    Use :func:`gilbert_multihop_template` for the memoized instance.
-    """
 
-    def __init__(self, protocol: Protocol, hops: int) -> None:
-        self.protocol = Protocol(protocol)
-        if self.protocol not in Protocol.multihop_family():
-            raise ValueError(
-                f"{self.protocol.value} is not part of the multi-hop analysis"
-            )
-        if hops < 1:
-            raise ValueError(f"hops must be >= 1, got {hops}")
-        self.hops = hops
-        self.states = gilbert_multihop_states(self.protocol, hops)
-        index = {state: i for i, state in enumerate(self.states)}
-        ns = len(self.states)
-        self._n_states = ns
-        specs = gilbert_multihop_specs(self.protocol, hops)
-        tag_index: dict[tuple, int] = {}
-        features: list[int] = []
-        for _, _, tag in specs:
-            if tag not in tag_index:
-                tag_index[tag] = len(tag_index)
-            features.append(tag_index[tag])
-        self._tags = tuple(tag_index)
-        self.n_features = len(self._tags)
-        self.rows = np.array([index[o] for o, _, _ in specs], dtype=np.intp)
-        self.cols = np.array([index[d] for _, d, _ in specs], dtype=np.intp)
-        self._features = np.array(features, dtype=np.intp)
-        self._flat = self.rows * ns + self.cols
-        self._sparse_pattern: _SparseStationaryPattern | None = None
+# Degenerate channels (loss_good == loss_bad) never reach these
+# families: the task entry points partition them onto the i.i.d. path.
+_GILBERT_SINGLEHOP = _Family(
+    name="gilbert singlehop",
+    compile=lambda protocol, _shape: (
+        gilbert_singlehop_states(protocol),
+        gilbert_singlehop_specs(protocol),
+        None,
+    ),
+    derive=_gilbert_row(check_singlehop_coverage, gilbert_singlehop_tag_rate),
+    build=lambda chain, point, row: singlehop_solution_from_stationary(
+        chain.protocol, *point, chain.stationary(row)
+    ),
+    reference=lambda chain, point: GilbertSingleHopModel(chain.protocol, *point).solve(),
+    backends={"template": _template_backend},
+    params_of=operator.itemgetter(0),
+)
 
-    def edge_rates(
-        self,
-        points: Sequence[tuple[MultiHopParameters, GilbertElliottParameters]],
-    ) -> np.ndarray:
-        """The ``(K, E)`` edge-rate matrix for ``points``."""
-        derived = np.empty((len(points), self.n_features))
-        for k, (params, gilbert) in enumerate(points):
-            check_multihop_coverage(self.protocol, params, gilbert)
-            for j, tag in enumerate(self._tags):
-                derived[k, j] = gilbert_multihop_tag_rate(
-                    self.protocol, params, gilbert, tag
-                )
-        return derived[:, self._features]
-
-    def _use_sparse(self) -> bool:
-        return (
-            self._n_states >= _markov.SPARSE_STATE_THRESHOLD
-            and _markov._sparse_modules() is not None
-        )
-
-    def _stationary_batch(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ns = self._n_states
-        if not self._use_sparse():
-            generators = _fill_generator_diagonal(
-                _assemble_dense(self._flat, rates, ns)
-            )
-            return batched_stationary_dense(generators)
-        if self._sparse_pattern is None:
-            self._sparse_pattern = _SparseStationaryPattern(self.rows, self.cols, ns)
-        return _sparse_batch(self._sparse_pattern, rates, type(self).__name__)
-
-    def solve_batch(
-        self,
-        points: Sequence[tuple[MultiHopParameters, GilbertElliottParameters]],
-    ) -> list[GilbertMultiHopSolution]:
-        """Solve every point; bit-identical to the per-point dense path."""
-        points = list(points)
-        if not points:
-            return []
-        for params, _ in points:
-            if params.hops != self.hops:
-                raise ValueError(
-                    f"task has {params.hops} hops, template compiled for {self.hops}"
-                )
-        rates = self.edge_rates(points)
-        try:
-            pi, bad = self._stationary_batch(rates)
-        except np.linalg.LinAlgError:
-            return [self._reference(params, gilbert) for params, gilbert in points]
-        solutions: list[GilbertMultiHopSolution] = []
-        for k, (params, gilbert) in enumerate(points):
-            if bad[k]:
-                solutions.append(self._reference(params, gilbert))
-                continue
-            stationary = {
-                state: float(pi[k, i]) for i, state in enumerate(self.states)
-            }
-            solutions.append(
-                multihop_solution_from_stationary(
-                    self.protocol, params, gilbert, stationary
-                )
-            )
-        return solutions
-
-    def _reference(
-        self, params: MultiHopParameters, gilbert: GilbertElliottParameters
-    ) -> GilbertMultiHopSolution:
-        return GilbertMultiHopModel(self.protocol, params, gilbert).solve()
+_GILBERT_MULTIHOP = _Family(
+    name="gilbert multihop",
+    compile=_gilbert_multihop_specs,
+    derive=_gilbert_row(check_multihop_coverage, gilbert_multihop_tag_rate),
+    build=lambda chain, point, row: multihop_solution_from_stationary(
+        chain.protocol, *point, chain.stationary(row)
+    ),
+    reference=lambda chain, point: GilbertMultiHopModel(chain.protocol, *point).solve(),
+    backends={"template": _template_backend},
+    params_of=operator.itemgetter(0),
+)
 
 
 # ----------------------------------------------------------------------
-# Template registry and task-level entry points
+# Template factories and task-level entry points
 # ----------------------------------------------------------------------
 
 
 @functools.lru_cache(maxsize=64)
-def singlehop_template(protocol: Protocol) -> SingleHopTemplate:
+def singlehop_template(protocol: Protocol) -> CompiledChain:
     """The memoized compiled template for ``protocol``."""
-    return SingleHopTemplate(protocol)
+    return CompiledChain(_SINGLEHOP, protocol)
 
 
 @functools.lru_cache(maxsize=256)
-def multihop_template(protocol: Protocol, hops: int) -> MultiHopTemplate:
+def multihop_template(protocol: Protocol, hops: int) -> CompiledChain:
     """The memoized compiled template for ``(protocol, hops)``."""
-    return MultiHopTemplate(protocol, hops)
+    return CompiledChain(_CHAIN, protocol, hops)
 
 
 @functools.lru_cache(maxsize=128)
-def tree_template(protocol: Protocol, topology: Topology) -> TreeTemplate:
+def tree_template(protocol: Protocol, topology: Topology) -> CompiledChain:
     """The memoized compiled template for ``(protocol, topology)``."""
-    return TreeTemplate(protocol, topology)
+    return CompiledChain(_TREE, protocol, topology)
 
 
 @functools.lru_cache(maxsize=128)
-def lumped_tree_template(protocol: Protocol, topology: Topology) -> LumpedTreeTemplate:
-    """The memoized compiled lumped template for ``(protocol, topology)``."""
-    return LumpedTreeTemplate(protocol, topology)
+def lumped_tree_template(protocol: Protocol, topology: Topology) -> CompiledChain:
+    """The memoized compiled lumped template for ``(protocol, topology)``.
+
+    Bit-identical to :class:`~repro.core.multihop.lumping.LumpedTreeModel`:
+    each edge rate is the same ``tree_tag_rate * multiplicity`` float,
+    scattered in the identical accumulation order.
+    """
+    return CompiledChain(_LUMPED_TREE, protocol, topology)
 
 
 @functools.lru_cache(maxsize=64)
-def iterative_tree_template(protocol: Protocol, topology: Topology) -> TreeTemplate:
+def iterative_tree_template(protocol: Protocol, topology: Topology) -> CompiledChain:
     """The memoized iterative-backend template for ``(protocol, topology)``.
 
     Enumerates the raw state space up to
@@ -1304,76 +959,85 @@ def iterative_tree_template(protocol: Protocol, topology: Topology) -> TreeTempl
     and solves every point through ILU/GMRES — the tolerance-class
     escape hatch for topologies whose orbits do not compress.
     """
-    return TreeTemplate(
-        protocol,
-        topology,
-        max_states=MAX_ENUMERATED_TREE_STATES,
-        solver="iterative",
-    )
+    return CompiledChain(_ITERATIVE_TREE, protocol, topology)
 
 
 @functools.lru_cache(maxsize=64)
-def gilbert_singlehop_template(protocol: Protocol) -> GilbertSingleHopTemplate:
+def gilbert_singlehop_template(protocol: Protocol) -> CompiledChain:
     """The memoized compiled Gilbert product template for ``protocol``."""
-    return GilbertSingleHopTemplate(protocol)
+    return CompiledChain(_GILBERT_SINGLEHOP, protocol)
 
 
 @functools.lru_cache(maxsize=256)
-def gilbert_multihop_template(protocol: Protocol, hops: int) -> GilbertMultiHopTemplate:
+def gilbert_multihop_template(protocol: Protocol, hops: int) -> CompiledChain:
     """The memoized compiled Gilbert product template for ``(protocol, hops)``."""
-    return GilbertMultiHopTemplate(protocol, hops)
+    return CompiledChain(_GILBERT_MULTIHOP, protocol, hops)
 
 
-def _solve_grouped(tasks, group_key, solve_group):
-    """Group tasks, solve each group batched, scatter to task order."""
-    groups: dict[object, list[int]] = {}
+def _no_shape(task) -> tuple:
+    return ()
+
+
+def _hop_shape(task) -> tuple:
+    return (task[1].hops,)
+
+
+def _topology_shape(task) -> tuple:
+    return (task[2],)
+
+
+_params = operator.itemgetter(1)
+_params_and_input = operator.itemgetter(1, 2)
+
+
+def _solve_grouped(tasks, template, shape_of, point_of, backend=None) -> list:
+    """Group tasks by compiled structure, solve each group batched, scatter back.
+
+    ``template`` is one of the memoized factories, called with
+    ``(protocol, *shape_of(task))``; ``point_of(task)`` is the point its
+    ``solve_batch`` takes.
+    """
+    tasks = list(tasks)
+    groups: dict[tuple, list[int]] = {}
     for position, task in enumerate(tasks):
-        groups.setdefault(group_key(task), []).append(position)
+        groups.setdefault((Protocol(task[0]), *shape_of(task)), []).append(position)
     results: list[object] = [None] * len(tasks)
     for key, positions in groups.items():
-        solved = solve_group(key, [tasks[p] for p in positions])
+        solved = template(*key).solve_batch(
+            [point_of(tasks[p]) for p in positions], backend
+        )
         for position, solution in zip(positions, solved):
             results[position] = solution
     return results
+
+
+def _homogeneous_point(task) -> tuple:
+    return (task[1], None)
+
+
+def _heterogeneous_point(task) -> tuple:
+    return (task[1], tuple(task[2]))
 
 
 def solve_singlehop_tasks(
     tasks: Sequence[tuple[Protocol, SignalingParameters]],
 ) -> list[SingleHopSolution]:
     """Solve ``(protocol, params)`` tasks through compiled templates."""
-    return _solve_grouped(
-        list(tasks),
-        lambda task: Protocol(task[0]),
-        lambda protocol, group: singlehop_template(protocol).solve_batch(
-            [params for _, params in group]
-        ),
-    )
+    return _solve_grouped(tasks, singlehop_template, _no_shape, _params)
 
 
 def solve_multihop_tasks(
     tasks: Sequence[tuple[Protocol, MultiHopParameters]],
 ) -> list[MultiHopSolution]:
     """Solve homogeneous ``(protocol, params)`` tasks through templates."""
-    return _solve_grouped(
-        list(tasks),
-        lambda task: (Protocol(task[0]), task[1].hops),
-        lambda key, group: multihop_template(*key).solve_batch(
-            [(params, None) for _, params in group]
-        ),
-    )
+    return _solve_grouped(tasks, multihop_template, _hop_shape, _homogeneous_point)
 
 
 def solve_heterogeneous_tasks(
     tasks: Sequence[tuple[Protocol, MultiHopParameters, tuple[HeterogeneousHop, ...]]],
 ) -> list[MultiHopSolution]:
     """Solve ``(protocol, params, hop_vector)`` tasks through templates."""
-    return _solve_grouped(
-        list(tasks),
-        lambda task: (Protocol(task[0]), task[1].hops),
-        lambda key, group: multihop_template(*key).solve_batch(
-            [(params, tuple(hops)) for _, params, hops in group]
-        ),
-    )
+    return _solve_grouped(tasks, multihop_template, _hop_shape, _heterogeneous_point)
 
 
 def solve_multihop_structured_tasks(
@@ -1387,11 +1051,7 @@ def solve_multihop_structured_tasks(
     floating-point operations), with per-point reference fallback.
     """
     return _solve_grouped(
-        list(tasks),
-        lambda task: (Protocol(task[0]), task[1].hops),
-        lambda key, group: multihop_template(*key).solve_batch(
-            [(params, None) for _, params in group], backend="structured"
-        ),
+        tasks, multihop_template, _hop_shape, _homogeneous_point, "structured"
     )
 
 
@@ -1405,12 +1065,7 @@ def solve_heterogeneous_structured_tasks(
     :func:`solve_multihop_structured_tasks`).
     """
     return _solve_grouped(
-        list(tasks),
-        lambda task: (Protocol(task[0]), task[1].hops),
-        lambda key, group: multihop_template(*key).solve_batch(
-            [(params, tuple(hops)) for _, params, hops in group],
-            backend="structured",
-        ),
+        tasks, multihop_template, _hop_shape, _heterogeneous_point, "structured"
     )
 
 
@@ -1418,13 +1073,7 @@ def solve_tree_tasks(
     tasks: Sequence[tuple[Protocol, MultiHopParameters, Topology]],
 ) -> list[TreeSolution]:
     """Solve ``(protocol, params, topology)`` tasks through templates."""
-    return _solve_grouped(
-        list(tasks),
-        lambda task: (Protocol(task[0]), task[2]),
-        lambda key, group: tree_template(*key).solve_batch(
-            [params for _, params, _ in group]
-        ),
-    )
+    return _solve_grouped(tasks, tree_template, _topology_shape, _params)
 
 
 def solve_tree_lumped_tasks(
@@ -1436,13 +1085,7 @@ def solve_tree_lumped_tasks(
     aggregation reorders float additions (the lumping itself is exact —
     proved rationally in ``tests/core/test_tree_lumping.py``).
     """
-    return _solve_grouped(
-        list(tasks),
-        lambda task: (Protocol(task[0]), task[2]),
-        lambda key, group: lumped_tree_template(*key).solve_batch(
-            [params for _, params, _ in group]
-        ),
-    )
+    return _solve_grouped(tasks, lumped_tree_template, _topology_shape, _params)
 
 
 def solve_tree_iterative_tasks(
@@ -1455,13 +1098,37 @@ def solve_tree_iterative_tasks(
     exactly.  The raw-space escape hatch for topologies that neither
     fit the direct cap nor lump.
     """
-    return _solve_grouped(
-        list(tasks),
-        lambda task: (Protocol(task[0]), task[2]),
-        lambda key, group: iterative_tree_template(*key).solve_batch(
-            [params for _, params, _ in group]
-        ),
+    return _solve_grouped(tasks, iterative_tree_template, _topology_shape, _params)
+
+
+def _solve_gilbert(tasks, solve_iid, wrap_degenerate, template, shape_of) -> list:
+    """Partition Gilbert–Elliott tasks on channel degeneracy.
+
+    Degenerate channels (``loss_good == loss_bad``) solve through the
+    i.i.d. entry point ``solve_iid`` at the common loss and are wrapped
+    verbatim, so they stay bit-identical to the baseline results; every
+    other point solves through the compiled product ``template``.
+    """
+    tasks = list(tasks)
+    results: list[object] = [None] * len(tasks)
+    degenerate = [p for p, task in enumerate(tasks) if task[2].is_degenerate]
+    rest = [p for p, task in enumerate(tasks) if not task[2].is_degenerate]
+    if degenerate:
+        base = solve_iid(
+            [
+                (tasks[p][0], tasks[p][1].replace(loss_rate=tasks[p][2].loss_good))
+                for p in degenerate
+            ]
+        )
+        for position, solution in zip(degenerate, base):
+            _, params, gilbert = tasks[position]
+            results[position] = wrap_degenerate(params, gilbert, solution)
+    solved = _solve_grouped(
+        [tasks[p] for p in rest], template, shape_of, _params_and_input
     )
+    for position, solution in zip(rest, solved):
+        results[position] = solution
+    return results
 
 
 def solve_gilbert_singlehop_tasks(
@@ -1469,42 +1136,17 @@ def solve_gilbert_singlehop_tasks(
 ) -> list[GilbertSingleHopSolution]:
     """Solve ``(protocol, params, gilbert)`` tasks through templates.
 
-    Degenerate channels (``loss_good == loss_bad``) take the i.i.d.
-    template path at the common loss and are wrapped verbatim, so they
-    stay bit-identical to the baseline results; all other points solve
-    through the compiled product templates.
+    Degenerate channels take the i.i.d. single-hop template path (see
+    :func:`_solve_gilbert`); the rest solve through the compiled product
+    templates.
     """
-    tasks = list(tasks)
-    results: list[GilbertSingleHopSolution | None] = [None] * len(tasks)
-    degenerate = [
-        (position, task) for position, task in enumerate(tasks) if task[2].is_degenerate
-    ]
-    if degenerate:
-        base = solve_singlehop_tasks(
-            [
-                (protocol, params.replace(loss_rate=gilbert.loss_good))
-                for _, (protocol, params, gilbert) in degenerate
-            ]
-        )
-        for (position, (_, params, gilbert)), solution in zip(degenerate, base):
-            results[position] = degenerate_singlehop_solution(
-                params, gilbert, solution
-            )
-    rest = [
-        (position, task)
-        for position, task in enumerate(tasks)
-        if not task[2].is_degenerate
-    ]
-    solved = _solve_grouped(
-        [task for _, task in rest],
-        lambda task: Protocol(task[0]),
-        lambda protocol, group: gilbert_singlehop_template(protocol).solve_batch(
-            [(params, gilbert) for _, params, gilbert in group]
-        ),
+    return _solve_gilbert(
+        tasks,
+        solve_singlehop_tasks,
+        degenerate_singlehop_solution,
+        gilbert_singlehop_template,
+        _no_shape,
     )
-    for (position, _), solution in zip(rest, solved):
-        results[position] = solution
-    return results
 
 
 def solve_gilbert_multihop_tasks(
@@ -1516,32 +1158,10 @@ def solve_gilbert_multihop_tasks(
     (bit-identical to baseline); the rest solve through the compiled
     product templates.
     """
-    tasks = list(tasks)
-    results: list[GilbertMultiHopSolution | None] = [None] * len(tasks)
-    degenerate = [
-        (position, task) for position, task in enumerate(tasks) if task[2].is_degenerate
-    ]
-    if degenerate:
-        base = solve_multihop_tasks(
-            [
-                (protocol, params.replace(loss_rate=gilbert.loss_good))
-                for _, (protocol, params, gilbert) in degenerate
-            ]
-        )
-        for (position, (_, params, gilbert)), solution in zip(degenerate, base):
-            results[position] = degenerate_multihop_solution(params, gilbert, solution)
-    rest = [
-        (position, task)
-        for position, task in enumerate(tasks)
-        if not task[2].is_degenerate
-    ]
-    solved = _solve_grouped(
-        [task for _, task in rest],
-        lambda task: (Protocol(task[0]), task[1].hops),
-        lambda key, group: gilbert_multihop_template(*key).solve_batch(
-            [(params, gilbert) for _, params, gilbert in group]
-        ),
+    return _solve_gilbert(
+        tasks,
+        solve_multihop_tasks,
+        degenerate_multihop_solution,
+        gilbert_multihop_template,
+        _hop_shape,
     )
-    for (position, _), solution in zip(rest, solved):
-        results[position] = solution
-    return results

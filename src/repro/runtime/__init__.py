@@ -45,7 +45,6 @@ from repro.runtime.solvers import (
     solve_protocol_suite,
     solve_singlehop_batch,
     solve_tree_batch,
-    templates_enabled,
 )
 from repro.runtime.transient import solve_transient_curve, solve_transient_point
 
@@ -72,7 +71,6 @@ __all__ = [
     "solve_transient_curve",
     "solve_transient_point",
     "solve_tree_batch",
-    "templates_enabled",
     "using_jobs",
     "using_tolerance",
 ]

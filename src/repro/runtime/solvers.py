@@ -1,27 +1,34 @@
 """Picklable solve tasks and cache-aware batch helpers.
 
+One family table (:data:`_FAMILIES`) drives every model family —
+single-hop, multi-hop chain, heterogeneous chain, tree and the two
+Gilbert–Elliott product families.  Each row says how to normalize a
+task (resolving ``"auto"`` to a concrete backend), how to key it in the
+memo cache (inputs, backend and parity class), how to solve it through
+the per-point reference model, and which :mod:`repro.core.templates`
+entry point serves each backend.
+
 Pool workers need module-level callables (closures don't pickle), so
-every model family gets a ``solve_*_point(task)`` function taking one
+every family gets a ``solve_*_point(task)`` function taking one
 plain-data task tuple — these run the reference per-point models and
 stay the ground truth the fast path is parity-tested against.
 
 The ``solve_*_batch`` helpers are what the sweep code calls: they
 dedupe tasks by content key, serve repeats from
 :func:`repro.runtime.cache.global_cache`, and push the misses through
-the compiled-template fast path (:mod:`repro.core.templates`) — grouped
-by chain structure and solved with batched/structure-cached linear
-algebra.  With ``jobs > 1`` the misses are split into contiguous chunks
-fanned across the process pool, each worker running the same template
-path, so parallel results are identical to serial ones.  Setting
-``REPRO_TEMPLATES=0`` in the environment falls back to the per-point
-reference solvers (an escape hatch for debugging the fast path).
+the compiled-template fast path — grouped by chain structure and solved
+with batched/structure-cached linear algebra.  With ``jobs > 1`` the
+misses are split into contiguous chunks fanned across the process pool,
+each worker running the same :func:`solve_template_chunk`, so parallel
+results are identical to serial ones.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import logging
-import os
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from repro.core import templates as _templates
 from repro.core.gilbert.model import (
@@ -35,7 +42,7 @@ from repro.core.gilbert.model import (
 from repro.core.markov import ContinuousTimeMarkovChain, State
 from repro.core.multihop import MultiHopModel, MultiHopSolution
 from repro.core.multihop.heterogeneous import HeterogeneousHop, HeterogeneousMultiHopModel
-from repro.core.multihop.lumping import TREE_BACKENDS, LumpedTreeModel, select_tree_backend
+from repro.core.multihop.lumping import LumpedTreeModel, select_tree_backend
 from repro.core.multihop.topology import Topology
 from repro.core.multihop.tree_model import TreeModel, TreeSolution
 from repro.core.multihop.tree_states import MAX_ENUMERATED_TREE_STATES
@@ -57,31 +64,23 @@ __all__ = [
     "solve_chain_stationary",
     "solve_gilbert_multihop_batch",
     "solve_gilbert_multihop_point",
-    "solve_gilbert_multihop_template_chunk",
     "solve_gilbert_singlehop_batch",
     "solve_gilbert_singlehop_point",
-    "solve_gilbert_singlehop_template_chunk",
     "solve_heterogeneous_batch",
     "solve_heterogeneous_point",
-    "solve_heterogeneous_template_chunk",
     "solve_multihop_batch",
     "solve_multihop_point",
-    "solve_multihop_template_chunk",
     "solve_protocol_suite",
     "solve_singlehop_batch",
     "solve_singlehop_point",
-    "solve_singlehop_template_chunk",
+    "solve_template_chunk",
     "solve_tree_batch",
     "solve_tree_point",
-    "solve_tree_template_chunk",
-    "templates_enabled",
 ]
 
 _LOGGER = logging.getLogger(__name__)
 
 _MISSING = object()
-
-_TEMPLATES_ENV = "REPRO_TEMPLATES"
 
 SingleHopTask = tuple[Protocol, SignalingParameters]
 #: Chain tasks may carry an explicit backend as a trailing element; bare
@@ -163,181 +162,25 @@ def solve_chain_stationary(chain: ContinuousTimeMarkovChain) -> dict[State, floa
     raise error
 
 
-def templates_enabled() -> bool:
-    """Whether batch misses go through the compiled-template fast path.
-
-    On by default; ``REPRO_TEMPLATES=0`` (or ``off``/``false``/``no``)
-    reroutes batches through the per-point reference models.
-    """
-    return os.environ.get(_TEMPLATES_ENV, "").strip().lower() not in (
-        "0",
-        "off",
-        "false",
-        "no",
-    )
-
-
-def _singlehop_key(task: SingleHopTask) -> tuple:
-    protocol, params = task
-    return cache_key("singlehop", protocol, params)
-
-
-def _chain_parity_class(backend: str) -> str:
-    """The parity class a chain backend's results belong to.
-
-    Baked into the cache key (mirroring the tree dispatch) so a
-    tolerance-class structured result can never be served to an
-    exact-path caller sharing the same ``(protocol, params)``.
-    """
-    return "tolerance" if backend == "structured" else "exact"
-
-
-def _normalized_multihop_task(
-    task: MultiHopTask,
-) -> tuple[Protocol, MultiHopParameters, str]:
-    """``(protocol, params, backend)`` with ``"auto"`` resolved.
-
-    Bare 2-tuples mean ``"auto"``; resolution happens before cache
-    keying so an ``"auto"`` task and its resolved explicit twin share
-    one cache entry, while distinct backends never collide.
-    """
-    if len(task) == 2:
-        protocol, params = task
-        backend = "auto"
-    else:
-        protocol, params, backend = task
-    if backend not in _templates.CHAIN_BACKENDS:
-        raise ValueError(
-            f"chain backend must be one of {_templates.CHAIN_BACKENDS}, "
-            f"got {backend!r}"
-        )
-    protocol = Protocol(protocol)
-    if backend == "auto":
-        backend = _templates.select_chain_backend(protocol, params.hops)
-    return protocol, params, backend
-
-
-def _normalized_heterogeneous_task(
-    task: HeterogeneousTask,
-) -> tuple[Protocol, MultiHopParameters, tuple[HeterogeneousHop, ...], str]:
-    """``(protocol, params, hops, backend)`` with ``"auto"`` resolved."""
-    if len(task) == 3:
-        protocol, params, hops = task
-        backend = "auto"
-    else:
-        protocol, params, hops, backend = task
-    if backend not in _templates.CHAIN_BACKENDS:
-        raise ValueError(
-            f"chain backend must be one of {_templates.CHAIN_BACKENDS}, "
-            f"got {backend!r}"
-        )
-    protocol = Protocol(protocol)
-    if backend == "auto":
-        backend = _templates.select_chain_backend(protocol, params.hops)
-    return protocol, params, tuple(hops), backend
-
-
-def _multihop_key(task: MultiHopTask) -> tuple:
-    protocol, params, backend = _normalized_multihop_task(task)
-    return cache_key(
-        "multihop", protocol, params, (backend, _chain_parity_class(backend))
-    )
-
-
-def _heterogeneous_key(task: HeterogeneousTask) -> tuple:
-    protocol, params, hops, backend = _normalized_heterogeneous_task(task)
-    hop_key = tuple((h.loss_rate, h.delay) for h in hops)
-    return cache_key(
-        "heterogeneous",
-        protocol,
-        params,
-        (hop_key, backend, _chain_parity_class(backend)),
-    )
-
-
-def _normalized_tree_task(
-    task: TreeTask,
-) -> tuple[Protocol, MultiHopParameters, Topology, str]:
-    """``(protocol, params, topology, backend)`` with ``"auto"`` resolved.
-
-    Tree tasks arrive as bare 3-tuples (meaning ``"auto"``) or with an
-    explicit backend.  Resolution happens here — before cache keying —
-    so an ``"auto"`` task and its resolved explicit twin share one cache
-    entry, while distinct backends never collide.
-    """
-    if len(task) == 3:
-        protocol, params, topology = task
-        backend = "auto"
-    else:
-        protocol, params, topology, backend = task
-    if backend not in TREE_BACKENDS:
-        raise ValueError(
-            f"tree backend must be one of {TREE_BACKENDS}, got {backend!r}"
-        )
-    if backend == "auto":
-        backend = select_tree_backend(topology)
-    return Protocol(protocol), params, topology, backend
-
-
-def _tree_parity_class(backend: str) -> str:
-    """The parity class a backend's results belong to.
-
-    Baked into the cache key so a tolerance-class result (lumped or
-    iterative) can never be served to an exact-path caller that happens
-    to share the ``(protocol, params, topology)`` triple.
-    """
-    return "tolerance" if backend in ("lumped", "iterative") else "exact"
-
-
-def _tree_key(task: TreeTask) -> tuple:
-    protocol, params, topology, backend = _normalized_tree_task(task)
-    return cache_key(
-        "tree",
-        protocol,
-        params,
-        (topology.parents, backend, _tree_parity_class(backend)),
-    )
-
-
-def _gilbert_singlehop_key(task: GilbertSingleHopTask) -> tuple:
-    protocol, params, gilbert = task
-    return cache_key("gilbert-singlehop", protocol, params, gilbert)
-
-
-def _gilbert_multihop_key(task: GilbertMultiHopTask) -> tuple:
-    protocol, params, gilbert = task
-    return cache_key("gilbert-multihop", protocol, params, gilbert)
-
-
-def _memoized(key: tuple, compute):
-    cache = global_cache()
-    value = cache.get(key, _MISSING)
-    if value is _MISSING:
-        value = compute()
-        cache.put(key, value)
-    return value
-
-
-def _compute_singlehop(task: SingleHopTask) -> SingleHopSolution:
-    protocol, params = task
+def _compute_singlehop(task) -> SingleHopSolution:
+    protocol, params, _ = task
     return SingleHopModel(protocol, params).solve()
 
 
-def _compute_multihop(task: MultiHopTask) -> MultiHopSolution:
-    # The reference path ignores the backend: with templates disabled
-    # (REPRO_TEMPLATES=0) every chain solves through the per-point
-    # reference model, bypassing the structured kernel entirely.
-    protocol, params, _ = _normalized_multihop_task(task)
+def _compute_multihop(task) -> MultiHopSolution:
+    # The reference path ignores the backend: every chain point solves
+    # through the per-point reference model.
+    protocol, params, _ = task
     return MultiHopModel(protocol, params).solve()
 
 
-def _compute_heterogeneous(task: HeterogeneousTask) -> MultiHopSolution:
-    protocol, params, hops, _ = _normalized_heterogeneous_task(task)
+def _compute_heterogeneous(task) -> MultiHopSolution:
+    protocol, params, hops, _ = task
     return HeterogeneousMultiHopModel(protocol, params, hops).solve()
 
 
-def _compute_tree(task: TreeTask) -> TreeSolution:
-    protocol, params, topology, backend = _normalized_tree_task(task)
+def _compute_tree(task) -> TreeSolution:
+    protocol, params, topology, backend = task
     if backend == "lumped":
         model = LumpedTreeModel(protocol, params, topology)
     elif backend == "iterative":
@@ -354,52 +197,189 @@ def _compute_tree(task: TreeTask) -> TreeSolution:
     return model.solution_from_stationary(stationary)
 
 
-def _compute_gilbert_singlehop(task: GilbertSingleHopTask) -> GilbertSingleHopSolution:
-    protocol, params, gilbert = task
-    model = GilbertSingleHopModel(protocol, params, gilbert)
+def _compute_gilbert(model_type, from_stationary, task):
+    protocol, params, gilbert, _ = task
+    model = model_type(protocol, params, gilbert)
     if gilbert.is_degenerate:
         return model.solve()
     stationary = solve_chain_stationary(model.chain())
-    return singlehop_solution_from_stationary(protocol, params, gilbert, stationary)
+    return from_stationary(protocol, params, gilbert, stationary)
 
 
-def _compute_gilbert_multihop(task: GilbertMultiHopTask) -> GilbertMultiHopSolution:
-    protocol, params, gilbert = task
-    model = GilbertMultiHopModel(protocol, params, gilbert)
-    if gilbert.is_degenerate:
-        return model.solve()
-    stationary = solve_chain_stationary(model.chain())
-    return multihop_solution_from_stationary(protocol, params, gilbert, stationary)
+def _no_input_key() -> tuple:
+    return ()
+
+
+@dataclasses.dataclass(frozen=True)
+class _TaskFamily:
+    """One row of the runtime's family table.
+
+    A task is ``(protocol, params, *inputs)`` with ``inputs`` model
+    inputs, plus — for families with a ``select`` — an optional trailing
+    backend (bare tasks mean ``"auto"``).  ``backends`` maps each
+    backend to its :mod:`repro.core.templates` entry point and parity
+    class, the first being the only one of a single-path family;
+    ``input_key`` turns the inputs into hashable cache-key parts and
+    ``compute`` solves one normalized task through the reference model.
+    """
+
+    kind: str
+    inputs: int
+    backends: dict[str, tuple[str, str]]
+    compute: Callable
+    input_key: Callable = _no_input_key
+    select: Callable | None = None
+    label: str = ""
+
+    def normalize(self, task) -> tuple:
+        """``(protocol, params, *inputs, backend)`` with ``"auto"`` resolved.
+
+        Resolution happens before cache keying, so an ``"auto"`` task and
+        its resolved explicit twin share one cache entry, while distinct
+        backends never collide.
+        """
+        protocol, params, *inputs = task
+        protocol = Protocol(protocol)
+        if self.select is None:
+            return (protocol, params, *inputs, next(iter(self.backends)))
+        backend = inputs.pop() if len(inputs) > self.inputs else "auto"
+        choices = ("auto", *self.backends)
+        if backend not in choices:
+            raise ValueError(
+                f"{self.label} backend must be one of {choices}, got {backend!r}"
+            )
+        if backend == "auto":
+            backend = self.select(protocol, params, *inputs)
+        return (protocol, params, *inputs, backend)
+
+    def key(self, task) -> tuple:
+        """The cache key of a normalized task: inputs, backend, parity class.
+
+        The parity class keeps a tolerance-class result from ever being
+        served to an exact-path caller sharing the same inputs.
+        """
+        protocol, params, *inputs, backend = task
+        parity_class = self.backends[backend][1]
+        return cache_key(
+            self.kind, protocol, params, (*self.input_key(*inputs), backend, parity_class)
+        )
+
+
+_FAMILIES = {
+    family.kind: family
+    for family in (
+        _TaskFamily(
+            kind="singlehop",
+            inputs=0,
+            backends={"template": ("solve_singlehop_tasks", "exact")},
+            compute=_compute_singlehop,
+        ),
+        _TaskFamily(
+            kind="multihop",
+            inputs=0,
+            backends={
+                "template": ("solve_multihop_tasks", "exact"),
+                "structured": ("solve_multihop_structured_tasks", "tolerance"),
+            },
+            compute=_compute_multihop,
+            select=lambda protocol, params: _templates.select_chain_backend(
+                protocol, params.hops
+            ),
+            label="chain",
+        ),
+        _TaskFamily(
+            kind="heterogeneous",
+            inputs=1,
+            backends={
+                "template": ("solve_heterogeneous_tasks", "exact"),
+                "structured": ("solve_heterogeneous_structured_tasks", "tolerance"),
+            },
+            compute=_compute_heterogeneous,
+            input_key=lambda hops: (tuple((h.loss_rate, h.delay) for h in hops),),
+            select=lambda protocol, params, hops: _templates.select_chain_backend(
+                protocol, params.hops
+            ),
+            label="chain",
+        ),
+        _TaskFamily(
+            kind="tree",
+            inputs=1,
+            backends={
+                "direct": ("solve_tree_tasks", "exact"),
+                "lumped": ("solve_tree_lumped_tasks", "tolerance"),
+                "iterative": ("solve_tree_iterative_tasks", "tolerance"),
+            },
+            compute=_compute_tree,
+            input_key=lambda topology: (topology.parents,),
+            select=lambda protocol, params, topology: select_tree_backend(topology),
+            label="tree",
+        ),
+        _TaskFamily(
+            kind="gilbert-singlehop",
+            inputs=1,
+            backends={"template": ("solve_gilbert_singlehop_tasks", "exact")},
+            compute=functools.partial(
+                _compute_gilbert,
+                GilbertSingleHopModel,
+                singlehop_solution_from_stationary,
+            ),
+            input_key=lambda gilbert: (gilbert,),
+        ),
+        _TaskFamily(
+            kind="gilbert-multihop",
+            inputs=1,
+            backends={"template": ("solve_gilbert_multihop_tasks", "exact")},
+            compute=functools.partial(
+                _compute_gilbert,
+                GilbertMultiHopModel,
+                multihop_solution_from_stationary,
+            ),
+            input_key=lambda gilbert: (gilbert,),
+        ),
+    )
+}
+
+
+def _solve_point(kind: str, task):
+    family = _FAMILIES[kind]
+    task = family.normalize(task)
+    key = family.key(task)
+    cache = global_cache()
+    value = cache.get(key, _MISSING)
+    if value is _MISSING:
+        value = family.compute(task)
+        cache.put(key, value)
+    return value
 
 
 def solve_singlehop_point(task: SingleHopTask) -> SingleHopSolution:
     """Solve one single-hop ``(protocol, params)`` point (memoized)."""
-    return _memoized(_singlehop_key(task), lambda: _compute_singlehop(task))
+    return _solve_point("singlehop", task)
 
 
 def solve_multihop_point(task: MultiHopTask) -> MultiHopSolution:
     """Solve one multi-hop ``(protocol, params)`` point (memoized)."""
-    return _memoized(_multihop_key(task), lambda: _compute_multihop(task))
+    return _solve_point("multihop", task)
 
 
 def solve_heterogeneous_point(task: HeterogeneousTask) -> MultiHopSolution:
     """Solve one heterogeneous ``(protocol, params, hops)`` point (memoized)."""
-    return _memoized(_heterogeneous_key(task), lambda: _compute_heterogeneous(task))
+    return _solve_point("heterogeneous", task)
 
 
 def solve_tree_point(task: TreeTask) -> TreeSolution:
     """Solve one tree ``(protocol, params, topology)`` point (memoized)."""
-    return _memoized(_tree_key(task), lambda: _compute_tree(task))
+    return _solve_point("tree", task)
 
 
 def solve_gilbert_singlehop_point(task: GilbertSingleHopTask) -> GilbertSingleHopSolution:
     """Solve one ``(protocol, params, gilbert)`` product point (memoized)."""
-    return _memoized(_gilbert_singlehop_key(task), lambda: _compute_gilbert_singlehop(task))
+    return _solve_point("gilbert-singlehop", task)
 
 
 def solve_gilbert_multihop_point(task: GilbertMultiHopTask) -> GilbertMultiHopSolution:
     """Solve one multi-hop ``(protocol, params, gilbert)`` point (memoized)."""
-    return _memoized(_gilbert_multihop_key(task), lambda: _compute_gilbert_multihop(task))
+    return _solve_point("gilbert-multihop", task)
 
 
 def solve_protocol_suite(
@@ -413,113 +393,31 @@ def solve_protocol_suite(
     return {protocol: solve_singlehop_point((protocol, params)) for protocol in Protocol}
 
 
-# ----------------------------------------------------------------------
-# Template chunk workers (module-level so they pickle into the pool)
-# ----------------------------------------------------------------------
+def solve_template_chunk(item: tuple[str, list]) -> list:
+    """Solve one ``(family kind, normalized tasks)`` chunk through templates.
 
-
-def solve_singlehop_template_chunk(
-    tasks: Sequence[SingleHopTask],
-) -> list[SingleHopSolution]:
-    """Solve a chunk of single-hop tasks through compiled templates."""
-    return _templates.solve_singlehop_tasks(list(tasks))
-
-
-def _solve_chain_partitioned(normalized, entry_points):
-    """Partition normalized chain tasks by backend and scatter back.
-
-    One chunk can mix backends (a hop sweep crossing the structured
-    threshold mid-axis) without extra round trips — the same shape as
-    the tree dispatch below.
+    Module-level so it pickles into the pool.  Tasks are partitioned by
+    their resolved backend and routed to that backend's entry point in
+    :mod:`repro.core.templates`, then scattered back to input order, so
+    one chunk can mix backends (a sweep crossing a crossover mid-axis)
+    without extra round trips.
     """
+    kind, tasks = item
+    backends = _FAMILIES[kind].backends
     partitions: dict[str, list[int]] = {}
-    for position, task in enumerate(normalized):
+    for position, task in enumerate(tasks):
         partitions.setdefault(task[-1], []).append(position)
-    results = [None] * len(normalized)
+    results: list[object] = [None] * len(tasks)
     for backend, positions in partitions.items():
-        solved = entry_points[backend]([normalized[p][:-1] for p in positions])
+        entry_point = getattr(_templates, backends[backend][0])
+        solved = entry_point([tasks[p][:-1] for p in positions])
         for position, solution in zip(positions, solved):
             results[position] = solution
     return results
 
 
-def solve_multihop_template_chunk(
-    tasks: Sequence[MultiHopTask],
-) -> list[MultiHopSolution]:
-    """Solve a chunk of homogeneous multi-hop tasks through templates.
-
-    Tasks are partitioned by their resolved backend: the exact template
-    path, or the structured O(hops) chain kernel.
-    """
-    return _solve_chain_partitioned(
-        [_normalized_multihop_task(task) for task in tasks],
-        {
-            "template": _templates.solve_multihop_tasks,
-            "structured": _templates.solve_multihop_structured_tasks,
-        },
-    )
-
-
-def solve_heterogeneous_template_chunk(
-    tasks: Sequence[HeterogeneousTask],
-) -> list[MultiHopSolution]:
-    """Solve a chunk of heterogeneous multi-hop tasks through templates.
-
-    Backend-partitioned exactly like
-    :func:`solve_multihop_template_chunk`.
-    """
-    return _solve_chain_partitioned(
-        [_normalized_heterogeneous_task(task) for task in tasks],
-        {
-            "template": _templates.solve_heterogeneous_tasks,
-            "structured": _templates.solve_heterogeneous_structured_tasks,
-        },
-    )
-
-
-def solve_tree_template_chunk(tasks: Sequence[TreeTask]) -> list[TreeSolution]:
-    """Solve a chunk of tree tasks through compiled templates.
-
-    Tasks are partitioned by their resolved backend and routed to the
-    matching template entry point — direct, lumped or iterative — then
-    scattered back to input order, so one chunk can mix backends (a
-    sweep crossing the direct cap mid-axis) without extra round trips.
-    """
-    normalized = [_normalized_tree_task(task) for task in tasks]
-    partitions: dict[str, list[int]] = {}
-    for position, (_, _, _, backend) in enumerate(normalized):
-        partitions.setdefault(backend, []).append(position)
-    entry_points = {
-        "direct": _templates.solve_tree_tasks,
-        "lumped": _templates.solve_tree_lumped_tasks,
-        "iterative": _templates.solve_tree_iterative_tasks,
-    }
-    results: list[TreeSolution] = [None] * len(normalized)
-    for backend, positions in partitions.items():
-        solved = entry_points[backend](
-            [normalized[p][:3] for p in positions]
-        )
-        for position, solution in zip(positions, solved):
-            results[position] = solution
-    return results
-
-
-def solve_gilbert_singlehop_template_chunk(
-    tasks: Sequence[GilbertSingleHopTask],
-) -> list[GilbertSingleHopSolution]:
-    """Solve a chunk of single-hop Gilbert-Elliott tasks through templates."""
-    return _templates.solve_gilbert_singlehop_tasks(list(tasks))
-
-
-def solve_gilbert_multihop_template_chunk(
-    tasks: Sequence[GilbertMultiHopTask],
-) -> list[GilbertMultiHopSolution]:
-    """Solve a chunk of multi-hop Gilbert-Elliott tasks through templates."""
-    return _templates.solve_gilbert_multihop_tasks(list(tasks))
-
-
-def _fan_chunks(chunk_fn, tasks: list, jobs: int | None) -> list:
-    """Run ``chunk_fn`` over contiguous task chunks, one per worker.
+def _fan_chunks(kind: str, tasks: list, jobs: int | None) -> list:
+    """Run :func:`solve_template_chunk` over contiguous chunks, one per worker.
 
     Serial execution (one worker) hands the whole list to one template
     batch — maximal batching; parallel execution trades some batching
@@ -527,21 +425,20 @@ def _fan_chunks(chunk_fn, tasks: list, jobs: int | None) -> list:
     """
     workers = min(effective_jobs(jobs), len(tasks))
     if workers <= 1:
-        return chunk_fn(tasks)
+        return solve_template_chunk((kind, tasks))
     bounds = [round(i * len(tasks) / workers) for i in range(workers + 1)]
     chunks = [tasks[bounds[i] : bounds[i + 1]] for i in range(workers)]
-    chunks = [chunk for chunk in chunks if chunk]
-    parts = parallel_map(chunk_fn, chunks, jobs=workers)
+    items = [(kind, chunk) for chunk in chunks if chunk]
+    parts = parallel_map(solve_template_chunk, items, jobs=workers)
     return [solution for part in parts for solution in part]
 
 
-def _solve_batch(compute_fn, chunk_fn, key_fn, tasks, jobs):
-    # compute_fn is the raw (unmemoized) reference solve; chunk_fn the
-    # compiled-template batch path.  Memoization happens once here, so
-    # batch points are neither double-counted in the cache stats nor
-    # double-written to the cache.
-    tasks = list(tasks)
-    keys = [key_fn(task) for task in tasks]
+def _solve_batch(kind: str, tasks, jobs: int | None) -> list:
+    # Memoization happens once here, so batch points are neither
+    # double-counted in the cache stats nor double-written to the cache.
+    family = _FAMILIES[kind]
+    tasks = [family.normalize(task) for task in tasks]
+    keys = [family.key(task) for task in tasks]
     cache = global_cache()
     resolved: dict[tuple, object] = {}
     pending: dict[tuple, object] = {}
@@ -554,11 +451,7 @@ def _solve_batch(compute_fn, chunk_fn, key_fn, tasks, jobs):
         else:
             resolved[key] = value
     if pending:
-        miss_tasks = list(pending.values())
-        if templates_enabled():
-            computed = _fan_chunks(chunk_fn, miss_tasks, jobs)
-        else:
-            computed = parallel_map(compute_fn, miss_tasks, jobs=jobs)
+        computed = _fan_chunks(kind, list(pending.values()), jobs)
         for key, value in zip(pending, computed):
             cache.put(key, value)
             resolved[key] = value
@@ -569,78 +462,42 @@ def solve_singlehop_batch(
     tasks: Iterable[SingleHopTask], jobs: int | None = None
 ) -> list[SingleHopSolution]:
     """Solve many single-hop points; results in task order."""
-    return _solve_batch(
-        _compute_singlehop,
-        solve_singlehop_template_chunk,
-        _singlehop_key,
-        tasks,
-        jobs,
-    )
+    return _solve_batch("singlehop", tasks, jobs)
 
 
 def solve_multihop_batch(
     tasks: Iterable[MultiHopTask], jobs: int | None = None
 ) -> list[MultiHopSolution]:
     """Solve many multi-hop points; results in task order."""
-    return _solve_batch(
-        _compute_multihop,
-        solve_multihop_template_chunk,
-        _multihop_key,
-        tasks,
-        jobs,
-    )
+    return _solve_batch("multihop", tasks, jobs)
 
 
 def solve_heterogeneous_batch(
     tasks: Iterable[HeterogeneousTask], jobs: int | None = None
 ) -> list[MultiHopSolution]:
     """Solve many heterogeneous multi-hop points; results in task order."""
-    return _solve_batch(
-        _compute_heterogeneous,
-        solve_heterogeneous_template_chunk,
-        _heterogeneous_key,
-        tasks,
-        jobs,
-    )
+    return _solve_batch("heterogeneous", tasks, jobs)
 
 
 def solve_tree_batch(
     tasks: Iterable[TreeTask], jobs: int | None = None
 ) -> list[TreeSolution]:
     """Solve many tree points; results in task order."""
-    return _solve_batch(
-        _compute_tree,
-        solve_tree_template_chunk,
-        _tree_key,
-        tasks,
-        jobs,
-    )
+    return _solve_batch("tree", tasks, jobs)
 
 
 def solve_gilbert_singlehop_batch(
     tasks: Iterable[GilbertSingleHopTask], jobs: int | None = None
 ) -> list[GilbertSingleHopSolution]:
     """Solve many single-hop Gilbert-Elliott points; results in task order."""
-    return _solve_batch(
-        _compute_gilbert_singlehop,
-        solve_gilbert_singlehop_template_chunk,
-        _gilbert_singlehop_key,
-        tasks,
-        jobs,
-    )
+    return _solve_batch("gilbert-singlehop", tasks, jobs)
 
 
 def solve_gilbert_multihop_batch(
     tasks: Iterable[GilbertMultiHopTask], jobs: int | None = None
 ) -> list[GilbertMultiHopSolution]:
     """Solve many multi-hop Gilbert-Elliott points; results in task order."""
-    return _solve_batch(
-        _compute_gilbert_multihop,
-        solve_gilbert_multihop_template_chunk,
-        _gilbert_multihop_key,
-        tasks,
-        jobs,
-    )
+    return _solve_batch("gilbert-multihop", tasks, jobs)
 
 
 def run_experiment_task(task: tuple[str, bool | str]):

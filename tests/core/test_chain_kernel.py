@@ -2,9 +2,8 @@
 
 Property-based coverage: random protocols × hop counts × heterogeeous
 loss/congestion profiles must agree with the per-point dense reference
-to 1e-9 relative, the kernel must reject structurally invalid input
-with real errors (not garbage output), and ``REPRO_TEMPLATES=0`` must
-still bypass the kernel entirely.
+to 1e-9 relative, and the kernel must reject structurally invalid
+input with real errors (not garbage output).
 """
 
 import numpy as np
@@ -22,6 +21,7 @@ from repro.core.parameters import MultiHopParameters
 from repro.core.protocols import Protocol
 from repro.core.templates import (
     CHAIN_BACKENDS,
+    _chain_kernel_args,
     multihop_template,
     select_chain_backend,
     solve_heterogeneous_structured_tasks,
@@ -38,19 +38,7 @@ ATOL = 1e-12
 
 def _kernel_kwargs(template, derived):
     """Slice one template's derived-feature rows into kernel arguments."""
-    n = template.hops
-    kwargs = {
-        "update": derived[:, template._f_update],
-        "advance": derived[:, template._f_advance : template._f_advance + n],
-        "lose": derived[:, template._f_lose : template._f_lose + n],
-        "recover": derived[:, template._f_recover : template._f_recover + n],
-    }
-    if template.protocol is Protocol.HS:
-        kwargs["false_signal"] = derived[:, template._f_extra]
-        kwargs["recovery_return"] = derived[:, template._f_extra + 1]
-    else:
-        kwargs["timeouts"] = derived[:, template._f_extra : template._f_extra + n]
-    return kwargs
+    return _chain_kernel_args(template.protocol, template.hops, derived)
 
 
 def _stationary_vector(template, stationary):
@@ -251,9 +239,14 @@ class TestBackendRouting:
 
     def test_auto_task_and_explicit_backend_share_cache_entry(self):
         params = MultiHopParameters(hops=200, loss_rate=0.0421)
-        auto_key = solvers._multihop_key((Protocol.SS, params))
-        explicit = solvers._multihop_key((Protocol.SS, params, "structured"))
-        template = solvers._multihop_key((Protocol.SS, params, "template"))
+        family = solvers._FAMILIES["multihop"]
+
+        def key(task):
+            return family.key(family.normalize(task))
+
+        auto_key = key((Protocol.SS, params))
+        explicit = key((Protocol.SS, params, "structured"))
+        template = key((Protocol.SS, params, "template"))
         assert auto_key == explicit
         assert auto_key != template
 
@@ -263,32 +256,11 @@ class TestBackendRouting:
             (Protocol.SS, MultiHopParameters(hops=3, loss_rate=0.07), "structured"),
             (Protocol.SS_RT, MultiHopParameters(hops=2, loss_rate=0.07)),
         ]
-        solutions = solvers.solve_multihop_template_chunk(tasks)
+        family = solvers._FAMILIES["multihop"]
+        solutions = solvers.solve_template_chunk(
+            ("multihop", [family.normalize(task) for task in tasks])
+        )
         assert [s.protocol for s in solutions] == [t[0] for t in tasks]
         assert solutions[0].inconsistency_ratio == pytest.approx(
             solutions[1].inconsistency_ratio, rel=RTOL
         )
-
-
-class TestTemplatesDisabledBypassesKernel:
-    def test_repro_templates_0_never_touches_the_kernel(self, monkeypatch):
-        # The escape hatch must route even explicitly-structured tasks
-        # through the per-point reference models.
-        monkeypatch.setenv("REPRO_TEMPLATES", "0")
-
-        def _boom(*args, **kwargs):
-            raise AssertionError("structured kernel used despite REPRO_TEMPLATES=0")
-
-        monkeypatch.setattr(
-            "repro.core.markov.batched_stationary_chain", _boom
-        )
-        monkeypatch.setattr(
-            "repro.core.templates.batched_stationary_chain", _boom
-        )
-        params = MultiHopParameters(hops=130, loss_rate=0.0137)
-        [solution] = solvers.solve_multihop_batch(
-            [(Protocol.SS, params, "structured")]
-        )
-        reference = MultiHopModel(Protocol.SS, params).solve()
-        assert solution.inconsistency_ratio == reference.inconsistency_ratio
-        assert solution.stationary == reference.stationary

@@ -10,9 +10,12 @@ the ISSUE's 1e-12 budget but the dense cases typically agree exactly.
 
 from __future__ import annotations
 
+import logging
+
+import numpy as np
 import pytest
 
-from repro.core import markov
+from repro.core import markov, templates
 from repro.core.multihop import MultiHopModel
 from repro.core.multihop.heterogeneous import (
     HeterogeneousHop,
@@ -33,6 +36,7 @@ from repro.core.templates import (
     multihop_template,
     singlehop_template,
     solve_heterogeneous_tasks,
+    solve_multihop_structured_tasks,
     solve_multihop_tasks,
     solve_singlehop_tasks,
 )
@@ -87,9 +91,9 @@ class TestSingleHopTemplates:
         for params in singlehop_grid():
             row = template.edge_rates([params])[0]
             accumulated: dict = {}
-            for (origin, destination), rate in zip(template.edges, row):
+            for i, j, rate in zip(template.rows, template.cols, row):
                 if rate > 0.0:
-                    key = (origin, destination)
+                    key = (template.states[i], template.states[j])
                     accumulated[key] = accumulated.get(key, 0.0) + float(rate)
             assert accumulated == build_transition_rates(protocol, params)
 
@@ -267,23 +271,81 @@ class TestReachProfile:
             assert profile[k] == pytest.approx((1.0 - 0.02) ** k, rel=1e-14)
 
 
-class TestTemplatesDisabledEscapeHatch:
-    def test_batches_match_reference_path(self, monkeypatch):
-        from repro.runtime import global_cache, solve_singlehop_batch
+class TestReferenceFallbackLogging:
+    """Every template→reference fallback logs one WARNING per point."""
 
+    @staticmethod
+    def _tasks():
         base = kazaa_defaults()
-        tasks = [
-            (protocol, base.replace(delay=delay))
-            for protocol in (Protocol.SS, Protocol.HS)
-            for delay in (0.01, 0.05)
+        return [(Protocol.SS, base.replace(delay=delay)) for delay in (0.01, 0.02, 0.03)]
+
+    @staticmethod
+    def _fallback_records(caplog):
+        return [
+            record
+            for record in caplog.records
+            if record.name == "repro.core.templates"
+            and "fell back to the reference model" in record.getMessage()
         ]
-        global_cache().clear()
-        fast = solve_singlehop_batch(tasks)
-        monkeypatch.setenv("REPRO_TEMPLATES", "0")
-        global_cache().clear()
-        reference = solve_singlehop_batch(tasks)
-        global_cache().clear()
-        assert [s.stationary for s in fast] == [s.stationary for s in reference]
-        assert [s.message_breakdown for s in fast] == [
-            s.message_breakdown for s in reference
-        ]
+
+    def test_dense_bad_mask_point_falls_back_with_a_warning(self, monkeypatch, caplog):
+        real = templates.batched_stationary_dense
+
+        def flag_second_point(generators):
+            pi, bad = real(generators)
+            bad[1] = True
+            return pi, bad
+
+        monkeypatch.setattr(templates, "batched_stationary_dense", flag_second_point)
+        tasks = self._tasks()
+        with caplog.at_level(logging.WARNING, logger="repro.core.templates"):
+            solutions = solve_singlehop_tasks(tasks)
+        for (protocol, params), solution in zip(tasks, solutions):
+            assert solution == SingleHopModel(protocol, params).solve()
+        [record] = self._fallback_records(caplog)
+        message = record.getMessage()
+        assert "singlehop" in message
+        assert "point 1 of 3" in message
+        assert "dense-bad-mask" in message
+
+    def test_linalg_error_falls_back_for_every_point(self, monkeypatch, caplog):
+        def singular(generators):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(templates, "batched_stationary_dense", singular)
+        tasks = self._tasks()
+        with caplog.at_level(logging.WARNING, logger="repro.core.templates"):
+            solutions = solve_singlehop_tasks(tasks)
+        for (protocol, params), solution in zip(tasks, solutions):
+            assert solution == SingleHopModel(protocol, params).solve()
+        records = self._fallback_records(caplog)
+        assert len(records) == len(tasks)
+        for index, record in enumerate(records):
+            assert f"point {index} of 3" in record.getMessage()
+            assert "linalg-error" in record.getMessage()
+
+    def test_structured_bad_mask_point_falls_back_with_a_warning(
+        self, monkeypatch, caplog
+    ):
+        real = templates.batched_stationary_chain
+
+        def flag_first_point(**kwargs):
+            pi, bad = real(**kwargs)
+            bad[0] = True
+            return pi, bad
+
+        monkeypatch.setattr(templates, "batched_stationary_chain", flag_first_point)
+        params = reservation_defaults().replace(hops=4)
+        tasks = [(Protocol.SS, params), (Protocol.SS, params.replace(loss_rate=0.1))]
+        with caplog.at_level(logging.WARNING, logger="repro.core.templates"):
+            solutions = solve_multihop_structured_tasks(tasks)
+        assert solutions[0] == MultiHopModel(Protocol.SS, params).solve()
+        [record] = self._fallback_records(caplog)
+        assert "chain" in record.getMessage()
+        assert "point 0 of 2" in record.getMessage()
+        assert "structured-bad-mask" in record.getMessage()
+
+    def test_healthy_batch_logs_nothing(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="repro.core.templates"):
+            solve_singlehop_tasks(self._tasks())
+        assert not self._fallback_records(caplog)

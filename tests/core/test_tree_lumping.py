@@ -38,7 +38,7 @@ from repro.core.multihop.tree_states import (
 )
 from repro.core.parameters import reservation_defaults
 from repro.core.protocols import Protocol
-from repro.core.templates import LumpedTreeTemplate
+from repro.core.templates import lumped_tree_template
 
 MULTIHOP = Protocol.multihop_family()
 
@@ -283,7 +283,7 @@ class TestTemplateBitParity:
             params_for(topology, loss_rate=0.17),
             params_for(topology, refresh_interval=2.5),
         ]
-        template = LumpedTreeTemplate(protocol, topology)
+        template = lumped_tree_template(protocol, topology)
         batched = template.solve_batch(points)
         for params, fast in zip(points, batched):
             reference = LumpedTreeModel(protocol, params, topology).solve()

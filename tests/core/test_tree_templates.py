@@ -12,7 +12,7 @@ import math
 import pytest
 
 from repro.core.multihop import Topology, TreeModel
-from repro.core.templates import TreeTemplate, solve_tree_tasks, tree_template
+from repro.core.templates import iterative_tree_template, solve_tree_tasks, tree_template
 from repro.core.parameters import reservation_defaults
 from repro.core.protocols import Protocol
 from repro.runtime import global_cache, solve_tree_batch
@@ -69,7 +69,7 @@ def test_template_memoized_per_protocol_and_topology():
 
 def test_template_structure_matches_reference_rates():
     topology = Topology.kary(2, 2)
-    template = TreeTemplate(Protocol.SS, topology)
+    template = tree_template(Protocol.SS, topology)
     params = params_for(topology)
     rates = template.edge_rates([params])[0]
     reference = TreeModel(Protocol.SS, params, topology).transition_rates()
@@ -99,6 +99,23 @@ def test_sparse_crossover_within_tolerance():
             rel_tol=1e-8,
             abs_tol=1e-12,
         )
+
+
+@pytest.mark.parametrize("protocol", (Protocol.SS, Protocol.HS), ids=lambda p: p.value)
+@pytest.mark.parametrize(
+    "topology",
+    (Topology.skewed(5), Topology.kary(2, 2), Topology.star(6)),
+    ids=lambda t: str(t.parents),
+)
+def test_iterative_template_refines_to_dense(protocol, topology):
+    # The iterative backend shares the reference chain's solve-and-refine
+    # kernel: after the ILU refinement steps its stationary vector sits at
+    # the dense solve's round-off floor, not at the Krylov tolerance.
+    params = params_for(topology)
+    [solution] = iterative_tree_template(protocol, topology).solve_batch([params])
+    dense = TreeModel(protocol, params, topology, solver="dense").solve()
+    for state, probability in dense.stationary.items():
+        assert abs(solution.stationary[state] - probability) <= 1e-13
 
 
 def test_solve_batch_rejects_hop_mismatch():

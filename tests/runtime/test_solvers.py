@@ -17,7 +17,21 @@ from repro.runtime import (
     solve_protocol_suite,
     solve_singlehop_batch,
 )
-from repro.runtime.solvers import solve_chain_stationary, solve_singlehop_point
+from repro.runtime.solvers import (
+    _FAMILIES,
+    solve_chain_stationary,
+    solve_singlehop_point,
+)
+
+
+def _task_key(kind, task):
+    """A task's cache key through the family table's one normalizer."""
+    family = _FAMILIES[kind]
+    return family.key(family.normalize(task))
+
+
+def _tree_key(task):
+    return _task_key("tree", task)
 
 
 @pytest.fixture(autouse=True)
@@ -151,7 +165,6 @@ class TestRunExperiments:
 class TestTreeBackendRouting:
     def test_cache_key_separates_backends(self):
         from repro.core.multihop import Topology
-        from repro.runtime.solvers import _tree_key
 
         topology = Topology.star(2)
         params = reservation_defaults().replace(hops=topology.num_edges)
@@ -163,7 +176,6 @@ class TestTreeBackendRouting:
 
     def test_auto_shares_cache_entry_with_resolved_backend(self):
         from repro.core.multihop import Topology, select_tree_backend
-        from repro.runtime.solvers import _tree_key
 
         topology = Topology.star(8)  # over the direct cap: resolves lumped
         resolved = select_tree_backend(topology)
@@ -274,3 +286,54 @@ class TestStationarySolverFallback:
         )
         assert result == {"a": 0.5, "b": 0.5}
         assert failure_report().solver_fallbacks == 1
+
+
+def _backend_cases():
+    """``(kind, bare task, auto-resolved backend)`` for every backend-carrying family."""
+    from repro.core.multihop import Topology
+    from repro.core.multihop.heterogeneous import hops_from_parameters
+
+    small = reservation_defaults().replace(hops=4)
+    large = reservation_defaults().replace(hops=130)
+    star2, star8 = Topology.star(2), Topology.star(8)
+    return [
+        ("multihop", (Protocol.SS, small), "template"),
+        ("multihop", (Protocol.HS, large), "structured"),
+        ("heterogeneous", (Protocol.SS_RT, small, hops_from_parameters(small)), "template"),
+        ("heterogeneous", (Protocol.SS, large, hops_from_parameters(large)), "structured"),
+        ("tree", (Protocol.SS, small.replace(hops=2), star2), "direct"),
+        ("tree", (Protocol.HS, small.replace(hops=8), star8), "lumped"),
+    ]
+
+
+class TestCacheKeyContract:
+    """One normalizer keys every family that carries a backend."""
+
+    @pytest.mark.parametrize("kind, task, resolved", _backend_cases())
+    def test_auto_task_shares_key_with_resolved_twin(self, kind, task, resolved):
+        bare = _task_key(kind, task)
+        assert bare == _task_key(kind, (*task, "auto"))
+        assert bare == _task_key(kind, (*task, resolved))
+
+    @pytest.mark.parametrize("kind, task, resolved", _backend_cases())
+    def test_tolerance_backends_never_share_the_exact_key(self, kind, task, resolved):
+        backends = _FAMILIES[kind].backends
+        [exact] = [name for name, (_, parity) in backends.items() if parity == "exact"]
+        exact_key = _task_key(kind, (*task, exact))
+        tolerance = [name for name, (_, parity) in backends.items() if parity == "tolerance"]
+        assert tolerance
+        keys = {_task_key(kind, (*task, name)) for name in tolerance}
+        assert exact_key not in keys
+        assert len(keys) == len(tolerance)
+
+    @pytest.mark.parametrize("kind, task, resolved", _backend_cases())
+    def test_unknown_backend_rejected(self, kind, task, resolved):
+        with pytest.raises(ValueError, match="backend must be one of"):
+            _task_key(kind, (*task, "magic"))
+
+    def test_parity_classes_match_the_registry(self):
+        from repro.validation.parity import PARITY_CLASSES
+
+        for family in _FAMILIES.values():
+            for entry_point, parity in family.backends.values():
+                assert PARITY_CLASSES[entry_point] == parity, entry_point
